@@ -10,7 +10,8 @@
 //! exact span-free baseline can be assembled from public API. This bench
 //! sweeps all 81 (workload, dataset) combinations through both paths at
 //! each trace level, takes the min-of-reps per variant (the stable floor),
-//! and writes the overhead ratios to `BENCH_obs.json`:
+//! and writes the overhead ratios to `BENCH_obs_overhead.json` (its own
+//! artifact; `BENCH_obs.json` belongs to `exp_obs_timeseries`):
 //!
 //! * `overhead_disabled` — spans compiled in but `HETEROMAP_TRACE=off`
 //!   (one relaxed atomic load per span site); must stay within 1%;
@@ -208,9 +209,9 @@ fn main() {
     ));
     json.push_str("}\n");
     heteromap_obs::json::parse(&json).expect("artifact must be valid JSON");
-    std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
+    std::fs::write("BENCH_obs_overhead.json", &json).expect("write BENCH_obs_overhead.json");
     println!(
-        "wrote BENCH_obs.json and {} ({trace_spans} spans)",
+        "wrote BENCH_obs_overhead.json and {} ({trace_spans} spans)",
         trace_path.display()
     );
 }

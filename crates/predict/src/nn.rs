@@ -3,8 +3,8 @@
 //! The paper's network has 17 input neurons (13 B + 4 I), two internal
 //! layers, and one output neuron per `M` choice; internal width is swept
 //! over 16/32/64/128 in Table IV ("Deep.16" … "Deep.128"). Training is
-//! plain mini-batch SGD with momentum on MSE loss, implemented from scratch
-//! (no external ML dependency).
+//! per-sample (online) SGD with momentum on MSE loss, implemented from
+//! scratch (no external ML dependency).
 
 use crate::linalg::{dot_lanes_reference, matmul_bias_blocked, matvec_bias};
 use crate::predictor::{features, Predictor, TrainingSet};
@@ -72,11 +72,44 @@ impl Layer {
         }
     }
 
-    /// Vec-returning wrapper used by the training loop (resizes, does not
-    /// reallocate once warm).
-    fn forward(&self, input: &[f64], out: &mut Vec<f64>) {
-        out.resize(self.outputs, 0.0);
-        self.forward_into(input, out);
+    /// One fused, row-oriented backward pass: for each output row `o`,
+    /// adds the row's weights times `delta[o]` into `back` (when given) and
+    /// only then applies the momentum update to the row and its bias, so
+    /// `back` ends as `Wᵀ · delta` under the pre-step weights. The order of
+    /// every operation is the contract documented on
+    /// [`NeuralPredictor::train`].
+    fn backward_update(
+        &mut self,
+        input: &[f64],
+        delta: &[f64],
+        mut back: Option<&mut [f64]>,
+        momentum: f64,
+        learning_rate: f64,
+    ) {
+        if let Some(back) = back.as_deref_mut() {
+            back.fill(0.0);
+        }
+        let rows = self
+            .weights
+            .chunks_exact_mut(self.inputs)
+            .zip(self.w_vel.chunks_exact_mut(self.inputs));
+        let biases = self.biases.iter_mut().zip(self.b_vel.iter_mut());
+        for (((w_row, v_row), &d), (b, bv)) in rows.zip(delta).zip(biases) {
+            if let Some(back) = back.as_deref_mut() {
+                for (c, &w) in back.iter_mut().zip(w_row.iter()) {
+                    *c += w * d;
+                }
+            }
+            for ((w, v), &xi) in w_row.iter_mut().zip(v_row.iter_mut()).zip(input) {
+                let g = d * xi;
+                let nv = *v * momentum - learning_rate * g;
+                *v = nv;
+                *w += nv;
+            }
+            let nv = *bv * momentum - learning_rate * d;
+            *bv = nv;
+            *b += nv;
+        }
     }
 }
 
@@ -144,7 +177,28 @@ pub struct NeuralPredictor {
 
 impl NeuralPredictor {
     /// Trains a `17 → hidden → hidden → 20` network on the profiler
-    /// database.
+    /// database with per-sample (online) SGD with momentum on MSE loss.
+    ///
+    /// # Arithmetic order
+    ///
+    /// The trained weights, biases and velocities are a pure function of
+    /// the set and `config`, and the order of every floating-point
+    /// operation is part of that contract (the golden training digests pin
+    /// it):
+    ///
+    /// * the forward pass is [`matvec_bias`]'s lane order, as in inference;
+    /// * an output delta is `(a - y) * a * (1 - a)`;
+    /// * a hidden delta `δ[h]` starts at `0.0`, adds `w[o][h] * δ'[o]` for
+    ///   `o = 0..n` in index order, and is then scaled by `a * (1 - a)`;
+    /// * layers are processed from last to first in one fused pass, and
+    ///   each weight row is read into the lower layer's delta *before* it
+    ///   is updated, so every delta sees the pre-step weights;
+    /// * each weight and bias update is the elementwise
+    ///   `v = v * momentum - learning_rate * g; w += v` with
+    ///   `g = δ[o] * input[i]` (or `δ[o]` for a bias).
+    ///
+    /// All activation and delta buffers are sized before the first epoch,
+    /// so the loop allocates nothing per step.
     ///
     /// # Panics
     ///
@@ -164,8 +218,9 @@ impl NeuralPredictor {
             .map(|s| (features(&s.b, &s.i), s.optimal.as_array()))
             .collect();
         let mut order: Vec<usize> = (0..data.len()).collect();
-        let mut acts: Vec<Vec<f64>> = vec![Vec::new(); layers.len()];
-        let mut deltas: Vec<Vec<f64>> = vec![Vec::new(); layers.len()];
+        let mut acts: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.outputs]).collect();
+        let mut deltas: Vec<Vec<f64>> = acts.clone();
+        let last = layers.len() - 1;
         for _ in 0..config.epochs {
             order.shuffle(&mut rng);
             for &idx in &order {
@@ -174,48 +229,28 @@ impl NeuralPredictor {
                 for (l, layer) in layers.iter().enumerate() {
                     let (head, tail) = acts.split_at_mut(l);
                     let src: &[f64] = if l == 0 { x } else { &head[l - 1] };
-                    layer.forward(src, &mut tail[0]);
+                    layer.forward_into(src, &mut tail[0]);
                 }
                 // Output deltas (MSE with sigmoid derivative).
-                let last = layers.len() - 1;
-                deltas[last].clear();
-                for (o, &a) in acts[last].iter().enumerate() {
-                    deltas[last].push((a - y[o]) * a * (1.0 - a));
+                for ((d, &a), &t) in deltas[last].iter_mut().zip(&acts[last]).zip(y) {
+                    *d = (a - t) * a * (1.0 - a);
                 }
-                // Hidden deltas.
-                for l in (0..last).rev() {
-                    let layer_next = &layers[l + 1];
-                    let mut cur = vec![0.0; layers[l].outputs];
-                    for (h, c) in cur.iter_mut().enumerate() {
-                        let mut sum = 0.0;
-                        for (o, &d) in deltas[l + 1].iter().enumerate() {
-                            sum += layer_next.weights[o * layer_next.inputs + h] * d;
+                // Fused backward pass and gradient step, last layer first.
+                for l in (0..=last).rev() {
+                    let (below, from_l) = deltas.split_at_mut(l);
+                    let input: &[f64] = if l == 0 { x } else { &acts[l - 1] };
+                    let back = below.last_mut().map(Vec::as_mut_slice);
+                    layers[l].backward_update(
+                        input,
+                        &from_l[0],
+                        back,
+                        config.momentum,
+                        config.learning_rate,
+                    );
+                    if l > 0 {
+                        for (c, &a) in deltas[l - 1].iter_mut().zip(&acts[l - 1]) {
+                            *c = *c * a * (1.0 - a);
                         }
-                        let a = acts[l][h];
-                        *c = sum * a * (1.0 - a);
-                    }
-                    deltas[l] = cur;
-                }
-                // Gradient step with momentum.
-                for l in 0..layers.len() {
-                    let input_owned: Vec<f64> = if l == 0 {
-                        x.to_vec()
-                    } else {
-                        acts[l - 1].clone()
-                    };
-                    let layer = &mut layers[l];
-                    for (o, &d) in deltas[l].iter().enumerate() {
-                        let base = o * layer.inputs;
-                        for (i, &xi) in input_owned.iter().enumerate() {
-                            let g = d * xi;
-                            let v =
-                                layer.w_vel[base + i] * config.momentum - config.learning_rate * g;
-                            layer.w_vel[base + i] = v;
-                            layer.weights[base + i] += v;
-                        }
-                        let v = layer.b_vel[o] * config.momentum - config.learning_rate * d;
-                        layer.b_vel[o] = v;
-                        layer.biases[o] += v;
                     }
                 }
             }
@@ -575,6 +610,65 @@ mod tests {
         );
         assert_eq!(Predictor::inference_flops(&nn), nn.flops_per_inference());
         assert!(nn.flops_per_inference() > 0);
+    }
+
+    /// FxHash-style multiply-rotate fold of every layer's `weights`,
+    /// `biases`, `w_vel` and `b_vel` bit patterns (lengths folded in too),
+    /// spelled out so the digest does not depend on std's unstable hasher.
+    fn training_digest(nn: &NeuralPredictor) -> u64 {
+        fn fold(h: u64, x: u64) -> u64 {
+            (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
+        }
+        let mut h = 0u64;
+        for layer in nn.layers() {
+            for buf in [&layer.weights, &layer.biases, &layer.w_vel, &layer.b_vel] {
+                h = fold(h, buf.len() as u64);
+                for v in buf.iter() {
+                    h = fold(h, v.to_bits());
+                }
+            }
+        }
+        h
+    }
+
+    /// Trains on the serving benchmark's fixed database and returns the
+    /// digest of the trained state.
+    fn golden_digest(hidden: usize, epochs: usize) -> u64 {
+        let set = crate::Trainer::new(heteromap_accel::system::MultiAcceleratorSystem::primary())
+            .generate_database(64, 0x4D0D_E128);
+        let nn = NeuralPredictor::train(
+            &set,
+            TrainConfig {
+                hidden,
+                epochs,
+                seed: 0x4D0D_E128,
+                ..TrainConfig::default()
+            },
+        );
+        training_digest(&nn)
+    }
+
+    /// The digests pin the trainer's arithmetic-order contract (documented
+    /// on [`NeuralPredictor::train`]): reordering any sum or update changes
+    /// a bit of the trained state.
+    #[test]
+    fn golden_training_digest_deep16_full_schedule() {
+        let digest = golden_digest(16, 250);
+        assert_eq!(
+            digest, 0xf6b1_87a5_4a65_9b68,
+            "Deep.16 digest {digest:#018x}"
+        );
+    }
+
+    /// Deep.128 at a short schedule keeps debug-mode test time low while
+    /// still exercising the 128×128 layer's fused pass.
+    #[test]
+    fn golden_training_digest_deep128_short_schedule() {
+        let digest = golden_digest(128, 4);
+        assert_eq!(
+            digest, 0x901c_02e0_66d3_e24c,
+            "Deep.128 digest {digest:#018x}"
+        );
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::csr::CsrGraph;
 use crate::VertexId;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Structural statistics of a graph.
 ///
@@ -99,30 +98,57 @@ impl AdjacencySource for CsrGraph {
     }
 }
 
-/// BFS from `src` returning `(distances, farthest_vertex, eccentricity)`.
-/// Distance `u32::MAX` marks unreachable vertices.
-fn bfs_eccentricity<G: AdjacencySource + ?Sized>(graph: &G, src: VertexId) -> (VertexId, u32) {
-    let n = graph.vertex_count();
-    let mut dist = vec![u32::MAX; n];
-    let mut queue = VecDeque::new();
-    dist[src as usize] = 0;
-    queue.push_back(src);
-    let mut farthest = src;
-    let mut ecc = 0;
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v as usize];
-        if d > ecc {
-            ecc = d;
-            farthest = v;
-        }
-        for &t in graph.neighbors_of(v) {
-            if dist[t as usize] == u32::MAX {
-                dist[t as usize] = d + 1;
-                queue.push_back(t);
-            }
+/// Reusable BFS state for the diameter sweeps: one distance buffer and one
+/// FIFO, kept across sweeps instead of allocated per sweep.
+struct Sweeper {
+    /// Hop distance per vertex; `u32::MAX` marks unvisited vertices.
+    dist: Vec<u32>,
+    /// Vertices in visit order: the BFS FIFO, read through a head cursor
+    /// and never popped, so it also lists what the next sweep must reset.
+    queue: Vec<VertexId>,
+}
+
+impl Sweeper {
+    fn new(n: usize) -> Self {
+        Sweeper {
+            dist: vec![u32::MAX; n],
+            queue: Vec::with_capacity(n),
         }
     }
-    (farthest, ecc)
+
+    /// BFS from `src` returning `(farthest_vertex, eccentricity)`: the first
+    /// vertex dequeued at the largest hop distance, and that distance.
+    fn eccentricity<G: AdjacencySource + ?Sized>(
+        &mut self,
+        graph: &G,
+        src: VertexId,
+    ) -> (VertexId, u32) {
+        // The previous sweep's queue holds exactly the vertices it visited.
+        for &v in &self.queue {
+            self.dist[v as usize] = u32::MAX;
+        }
+        self.queue.clear();
+        self.dist[src as usize] = 0;
+        self.queue.push(src);
+        let mut farthest = src;
+        let mut ecc = 0;
+        let mut head = 0;
+        while let Some(&v) = self.queue.get(head) {
+            head += 1;
+            let d = self.dist[v as usize];
+            if d > ecc {
+                ecc = d;
+                farthest = v;
+            }
+            for &t in graph.neighbors_of(v) {
+                if self.dist[t as usize] == u32::MAX {
+                    self.dist[t as usize] = d + 1;
+                    self.queue.push(t);
+                }
+            }
+        }
+        (farthest, ecc)
+    }
 }
 
 /// Double-sweep diameter approximation with a handful of restarts.
@@ -134,13 +160,14 @@ fn bfs_eccentricity<G: AdjacencySource + ?Sized>(graph: &G, src: VertexId) -> (V
 pub fn approximate_diameter<G: AdjacencySource + ?Sized>(graph: &G) -> u64 {
     let n = graph.vertex_count();
     let seeds: [usize; 4] = [0, n / 3, n / 2, (2 * n) / 3];
+    let mut sweeper = Sweeper::new(n);
     let mut best = 0u32;
     for &s in &seeds {
         if s >= n {
             continue;
         }
-        let (far, _) = bfs_eccentricity(graph, s as VertexId);
-        let (_, ecc) = bfs_eccentricity(graph, far);
+        let (far, _) = sweeper.eccentricity(graph, s as VertexId);
+        let (_, ecc) = sweeper.eccentricity(graph, far);
         best = best.max(ecc);
     }
     best as u64

@@ -1,9 +1,16 @@
 //! Community detection by synchronous label propagation — FP scoring over
 //! read-write shared labels (B5 + B6 + B10 in Fig. 5).
+//!
+//! Each vertex votes over its *out*-edges. The tally is the shared sparse
+//! accumulator of the crate's `vote` module (also behind
+//! [`labelprop`](crate::labelprop)): a dense weight slot per label, so no
+//! vote hashes or allocates. Each label's weight sums in edge order and the
+//! `(weight desc, label asc)` winner does not depend on the order labels are
+//! visited in, so labels equal the hash-map oracle
+//! [`community_seq`](crate::verify::community_seq) bit for bit.
 
-use crate::par::par_chunks_mut;
-use heteromap_graph::{CsrGraph, VertexId};
-use std::collections::HashMap;
+use crate::vote::propagate;
+use heteromap_graph::CsrGraph;
 
 /// Runs `iterations` rounds of weighted label propagation and returns the
 /// community label of each vertex.
@@ -14,34 +21,9 @@ use std::collections::HashMap;
 /// synchronously (double-buffered), the phase/barrier structure the paper's
 /// B13 counts.
 pub fn community(graph: &CsrGraph, iterations: u32, threads: usize) -> Vec<u32> {
-    let n = graph.vertex_count();
-    let mut labels: Vec<u32> = (0..n as u32).collect();
-    let mut next = labels.clone();
-    for _ in 0..iterations {
-        {
-            let labels_ref = &labels;
-            par_chunks_mut(&mut next, threads, |offset, next_chunk| {
-                let mut weights: HashMap<u32, f32> = HashMap::new();
-                for (off, nx) in next_chunk.iter_mut().enumerate() {
-                    let v = (offset + off) as VertexId;
-                    weights.clear();
-                    for (u, w) in graph.edges(v) {
-                        *weights.entry(labels_ref[u as usize]).or_insert(0.0) += w;
-                    }
-                    let current = labels_ref[v as usize];
-                    let mut best = (current, f32::NEG_INFINITY);
-                    for (&label, &weight) in &weights {
-                        if weight > best.1 || (weight == best.1 && label < best.0) {
-                            best = (label, weight);
-                        }
-                    }
-                    *nx = if weights.is_empty() { current } else { best.0 };
-                }
-            });
-        }
-        std::mem::swap(&mut labels, &mut next);
-    }
-    labels
+    propagate(graph.vertex_count(), iterations, threads, |v| {
+        graph.edges(v)
+    })
 }
 
 /// Number of distinct communities in a labelling.

@@ -5,52 +5,27 @@
 //! Complements [`community`](crate::community): where community detection
 //! votes over a vertex's *out*-edges, label propagation here gathers the
 //! labels *pushed at* a vertex along its in-edges (via the cached
-//! transpose), the GARDENIA formulation. Each vertex's vote accumulates
-//! serially in in-edge order and the argmax tie-breaks toward the smaller
-//! label, so rounds are synchronous (double-buffered) and the result is
-//! bit-identical for every thread count.
+//! transpose), the GARDENIA formulation. Both tally with the shared sparse
+//! accumulator of the crate's `vote` module: each vertex's vote sums serially in
+//! in-edge order into a dense per-label slot, and the `(weight desc, label
+//! asc)` winner does not depend on the order labels are visited in, so
+//! rounds are synchronous (double-buffered) and the result equals
+//! [`labelprop_seq`](crate::verify::labelprop_seq) bit for bit at every
+//! thread count.
 
-use crate::par::par_chunks_mut;
-use heteromap_graph::{CsrGraph, VertexId};
-use std::collections::HashMap;
+use crate::vote::propagate;
+use heteromap_graph::CsrGraph;
 
 /// Runs `iterations` synchronous rounds of push-direction weighted label
 /// propagation and returns the final label of each vertex.
 pub fn labelprop(graph: &CsrGraph, iterations: u32, threads: usize) -> Vec<u32> {
     let n = graph.vertex_count();
-    let mut labels: Vec<u32> = (0..n as u32).collect();
     if n == 0 {
-        return labels;
+        return Vec::new();
     }
     let transpose = graph.transpose_cached();
-    let mut next = labels.clone();
-    for _ in 0..iterations {
-        {
-            let labels_ref = &labels;
-            let transpose_ref = &*transpose;
-            par_chunks_mut(&mut next, threads, |offset, next_chunk| {
-                let mut votes: HashMap<u32, f32> = HashMap::new();
-                for (off, nx) in next_chunk.iter_mut().enumerate() {
-                    let v = (offset + off) as VertexId;
-                    votes.clear();
-                    // In-neighbors of v with the pushing edge's weight.
-                    for (u, w) in transpose_ref.edges(v) {
-                        *votes.entry(labels_ref[u as usize]).or_insert(0.0) += w;
-                    }
-                    let current = labels_ref[v as usize];
-                    let mut best = (current, f32::NEG_INFINITY);
-                    for (&label, &weight) in &votes {
-                        if weight > best.1 || (weight == best.1 && label < best.0) {
-                            best = (label, weight);
-                        }
-                    }
-                    *nx = if votes.is_empty() { current } else { best.0 };
-                }
-            });
-        }
-        std::mem::swap(&mut labels, &mut next);
-    }
-    labels
+    // In-neighbors of v with the pushing edge's weight.
+    propagate(n, iterations, threads, |v| transpose.edges(v))
 }
 
 #[cfg(test)]

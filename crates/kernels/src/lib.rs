@@ -17,7 +17,8 @@
 //! * [`community`] — community detection by label propagation,
 //! * [`spmv`] / [`kcore`] / [`labelprop`] — the GARDENIA widening of the
 //!   benchmark space (sparse matrix–vector multiply, k-core peeling,
-//!   push-direction label propagation),
+//!   push-direction label propagation); community detection and label
+//!   propagation share one hash-free sparse-accumulator vote,
 //! * [`verify`] — sequential reference implementations used in tests,
 //! * [`runner`] — uniform dispatch used by examples and benches.
 //!
@@ -45,6 +46,7 @@ pub mod sssp_bf;
 pub mod sssp_delta;
 pub mod triangle;
 pub mod verify;
+mod vote;
 
 pub use par::ExecEngine;
 pub use runner::{KernelOutput, KernelRunner};

@@ -1,5 +1,11 @@
 //! Parallel triangle counting by sorted-adjacency intersection — the
 //! reduction-heavy (B5), read-only-shared (B9) workload of Fig. 5.
+//!
+//! Each pair `v < u` intersects only the parts of the two sorted adjacency
+//! lists above `u`, found by binary search; the prefixes at or below the
+//! floor can never close a counted triangle, so they are not merged. The
+//! count equals [`triangle_seq`](crate::verify::triangle_seq)'s full-list
+//! merge exactly, duplicate (multi-)edges included.
 
 use crate::par::Scheduler;
 use heteromap_graph::{CsrGraph, VertexId};
@@ -26,11 +32,11 @@ pub fn triangle_count_with(graph: &CsrGraph, threads: usize, scheduler: Schedule
         for v in range {
             let v = v as VertexId;
             let nv = graph.neighbors(v);
-            for &u in nv {
-                if u <= v {
-                    continue;
-                }
-                local += intersect_above(nv, graph.neighbors(u), u);
+            // Candidates `w > u > v` lie past `u` in both sorted lists.
+            for k in above(nv, v)..nv.len() {
+                let u = nv[k];
+                let nu = graph.neighbors(u);
+                local += intersect_count(&nv[k + 1..], &nu[above(nu, u)..]);
             }
         }
         total.fetch_add(local, Ordering::Relaxed);
@@ -38,17 +44,20 @@ pub fn triangle_count_with(graph: &CsrGraph, threads: usize, scheduler: Schedule
     total.load(Ordering::Relaxed)
 }
 
-/// Counts elements common to both sorted slices that are `> floor`.
-fn intersect_above(a: &[VertexId], b: &[VertexId], floor: VertexId) -> u64 {
+/// Index of the first element of the sorted slice `a` that is `> floor`.
+fn above(a: &[VertexId], floor: VertexId) -> usize {
+    a.partition_point(|&x| x <= floor)
+}
+
+/// Counts matched pairs of a merge of the sorted slices `a` and `b`.
+fn intersect_count(a: &[VertexId], b: &[VertexId]) -> u64 {
     let (mut i, mut j, mut count) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                if a[i] > floor {
-                    count += 1;
-                }
+                count += 1;
                 i += 1;
                 j += 1;
             }
@@ -115,6 +124,28 @@ mod tests {
         }
         let g = el.into_csr().unwrap();
         assert_eq!(triangle_count(&g, 4), 0);
+    }
+
+    #[test]
+    fn matches_sequential_with_duplicate_edges() {
+        // Without dedup, adjacency lists repeat targets; suffix intersection
+        // must count matched pairs exactly as the full-list merge does.
+        let g = UniformRandom::new(60, 400).generate(5);
+        let mut el = EdgeList::new(60);
+        for v in 0..60 as VertexId {
+            for &t in g.neighbors(v) {
+                el.push_undirected(v, t, 1.0);
+                if t % 3 == 0 {
+                    el.push(v, t, 2.0);
+                }
+            }
+        }
+        let g = el.into_csr().unwrap();
+        let expected = triangle_seq(&g);
+        assert!(expected > 0);
+        for threads in [1, 4] {
+            assert_eq!(triangle_count(&g, threads), expected);
+        }
     }
 
     #[test]

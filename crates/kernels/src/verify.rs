@@ -215,6 +215,35 @@ pub fn kcore_seq(graph: &CsrGraph) -> Vec<u32> {
     core
 }
 
+/// Sequential weighted community detection by label propagation: each
+/// round every vertex adopts the label with the largest total out-edge
+/// weight among its neighbours (ties toward the smaller label), updating
+/// synchronously. A hash-map tally like [`labelprop_seq`]'s, independent
+/// of the dense-slot vote the parallel kernels share.
+pub fn community_seq(graph: &CsrGraph, iterations: u32) -> Vec<u32> {
+    let n = graph.vertex_count();
+    let mut labels: Vec<u32> = (0..n as u32).collect();
+    for _ in 0..iterations {
+        let mut next = labels.clone();
+        for (v, nx) in next.iter_mut().enumerate() {
+            let mut weights: std::collections::HashMap<u32, f32> = std::collections::HashMap::new();
+            for (u, w) in graph.edges(v as VertexId) {
+                *weights.entry(labels[u as usize]).or_insert(0.0) += w;
+            }
+            let current = labels[v];
+            let mut best = (current, f32::NEG_INFINITY);
+            for (&label, &weight) in &weights {
+                if weight > best.1 || (weight == best.1 && label < best.0) {
+                    best = (label, weight);
+                }
+            }
+            *nx = if weights.is_empty() { current } else { best.0 };
+        }
+        labels = next;
+    }
+    labels
+}
+
 /// Sequential push-direction weighted label propagation: each round every
 /// vertex adopts the label with the largest total in-edge weight (ties
 /// toward the smaller label), updating synchronously.
@@ -339,6 +368,22 @@ mod tests {
         el.push(2, 3, 1.0);
         let g = el.into_csr().unwrap();
         assert_eq!(labelprop_seq(&g, 1)[3], 1);
+    }
+
+    #[test]
+    fn community_seq_follows_heaviest_out_edge_weight() {
+        // 0 votes 1.0 for label 1 and 3.0 for label 2; 1 votes 2.0 each
+        // for labels 2 and 3.
+        let mut el = EdgeList::new(4);
+        el.push(0, 1, 1.0);
+        el.push(0, 2, 3.0);
+        el.push(1, 3, 2.0);
+        el.push(1, 2, 2.0);
+        let g = el.into_csr().unwrap();
+        // 0 takes the heavier label, 1 breaks its tie toward the smaller
+        // label, and 2 and 3 have no out-edges and keep their labels.
+        assert_eq!(community_seq(&g, 1), vec![2, 2, 2, 3]);
+        assert_eq!(community_seq(&g, 0), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! every structural graph family the paper evaluates.
 
 use heteromap_graph::datasets::Dataset;
-use heteromap_graph::CsrGraph;
+use heteromap_graph::gen::{GraphGenerator, RMat};
+use heteromap_graph::{CsrGraph, EdgeList, VertexId};
 use heteromap_kernels::runner::KernelOutput;
 use heteromap_kernels::verify;
 use heteromap_kernels::KernelRunner;
@@ -14,6 +15,28 @@ fn surrogates() -> Vec<(Dataset, CsrGraph)> {
         .into_iter()
         .map(|d| (d, d.surrogate_graph(1_500, 13)))
         .collect()
+}
+
+/// Label-propagation sweeps for the community and labelprop checks.
+const SWEEPS: u32 = 10;
+
+/// Seeded R-MAT inputs for the vote and intersection kernels: the raw
+/// directed graph (hubs, distinct real weights), and its undirected closure
+/// with weights in {1, 2, 3}, so hub neighbourhoods repeat labels and label
+/// votes tie often.
+fn rmat_graphs() -> Vec<(String, CsrGraph)> {
+    let g = RMat::new(11, 8.0, 0.57, 0.19, 0.19).generate(21);
+    let mut el = EdgeList::new(g.vertex_count());
+    for v in 0..g.vertex_count() as VertexId {
+        for (t, w) in g.edges(v) {
+            el.push_undirected(v, t, w.floor() % 3.0 + 1.0);
+        }
+    }
+    el.dedup();
+    vec![
+        ("rmat-11".to_string(), g),
+        ("rmat-11-tied".to_string(), el.into_csr().unwrap()),
+    ]
 }
 
 #[test]
@@ -73,11 +96,21 @@ fn pagerank_variants_agree_and_sum_to_one() {
 #[test]
 fn triangle_count_matches_reference_on_undirected_surrogates() {
     // Grid and power-law surrogates store both edge directions.
-    for d in [Dataset::UsaCal, Dataset::Facebook] {
-        let g = d.surrogate_graph(1_200, 5);
+    let mut graphs: Vec<(String, CsrGraph)> = [Dataset::UsaCal, Dataset::Facebook]
+        .into_iter()
+        .map(|d| (d.to_string(), d.surrogate_graph(1_200, 5)))
+        .collect();
+    graphs.extend(rmat_graphs());
+    for (name, g) in graphs {
         let expected = verify::triangle_seq(&g);
-        let run = KernelRunner::new(6).run(Workload::TriangleCount, &g);
-        assert_eq!(run.output, KernelOutput::Count(expected), "{d}");
+        for threads in [1, 3, 8] {
+            let run = KernelRunner::new(threads).run(Workload::TriangleCount, &g);
+            assert_eq!(
+                run.output,
+                KernelOutput::Count(expected),
+                "{name}/{threads}"
+            );
+        }
     }
 }
 
@@ -109,11 +142,37 @@ fn dfs_reaches_exactly_the_bfs_reachable_set() {
     }
 }
 
+/// The surrogates plus the seeded R-MAT inputs, by name.
+fn vote_graphs() -> Vec<(String, CsrGraph)> {
+    let mut graphs: Vec<(String, CsrGraph)> = surrogates()
+        .into_iter()
+        .map(|(d, g)| (d.to_string(), g))
+        .collect();
+    graphs.extend(rmat_graphs());
+    graphs
+}
+
 #[test]
 fn community_labels_are_stable_across_threads() {
-    for (d, g) in surrogates() {
-        let one = KernelRunner::new(1).run(Workload::Community, &g).output;
-        let many = KernelRunner::new(8).run(Workload::Community, &g).output;
-        assert_eq!(one, many, "{d}");
+    // The hash-map oracle, not the kernel at one thread, is the reference.
+    for (name, g) in vote_graphs() {
+        let expected = KernelOutput::Labels(verify::community_seq(&g, SWEEPS));
+        for threads in [1, 3, 8] {
+            let runner = KernelRunner::new(threads).with_community_iterations(SWEEPS);
+            let run = runner.run(Workload::Community, &g);
+            assert_eq!(run.output, expected, "{name}/{threads}");
+        }
+    }
+}
+
+#[test]
+fn labelprop_matches_sequential_oracle() {
+    for (name, g) in vote_graphs() {
+        let expected = KernelOutput::Labels(verify::labelprop_seq(&g, SWEEPS));
+        for threads in [1, 3, 8] {
+            let runner = KernelRunner::new(threads).with_community_iterations(SWEEPS);
+            let run = runner.run(Workload::LabelProp, &g);
+            assert_eq!(run.output, expected, "{name}/{threads}");
+        }
     }
 }

@@ -639,7 +639,7 @@ fn cfg_dynamic(cfg: &MConfig) -> f64 {
 /// evaluations are stable but distinct scenarios de-tie.
 fn hash_pm1(spec: &AcceleratorSpec, ctx: &WorkloadContext, cfg: &MConfig) -> f64 {
     use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = heteromap_model::StableHasher::new();
     spec.name.hash(&mut h);
     ctx.stats.vertices.hash(&mut h);
     ctx.stats.edges.hash(&mut h);

@@ -122,7 +122,7 @@ impl DeviceInstance {
     /// Deterministic draw in `[0, 1)` from the device/job/attempt
     /// fingerprint.
     fn hash_unit(&self, seed: u64, job: u64, attempt: u32, salt: u8) -> f64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = heteromap_model::StableHasher::new();
         seed.hash(&mut h);
         (self.id as u64).hash(&mut h);
         job.hash(&mut h);

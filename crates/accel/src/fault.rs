@@ -189,7 +189,7 @@ fn hash_unit(
     attempt: u32,
     salt: u8,
 ) -> f64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = heteromap_model::StableHasher::new();
     seed.hash(&mut h);
     salt.hash(&mut h);
     (accelerator == Accelerator::Gpu).hash(&mut h);

@@ -179,7 +179,7 @@ impl ChaosPlan {
     /// into [`WORKLOADS`] / [`DATASETS`], drawn independently of the fault
     /// schedule.
     pub fn request_for(&self, round: u32, slot: u32) -> (usize, usize) {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = heteromap_model::StableHasher::new();
         self.seed.hash(&mut h);
         0x00C0_FFEE_u32.hash(&mut h);
         round.hash(&mut h);
@@ -193,7 +193,7 @@ impl ChaosPlan {
 
     /// Deterministic draw in `[0, 1)` for one `(episode, salt)` pair.
     fn hash_unit(&self, episode: u32, salt: u8) -> f64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = heteromap_model::StableHasher::new();
         self.seed.hash(&mut h);
         episode.hash(&mut h);
         salt.hash(&mut h);

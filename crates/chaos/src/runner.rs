@@ -620,9 +620,10 @@ impl ChaosRunner {
     }
 }
 
-/// Chains `parts` into `digest` through one [`DefaultHasher`] step.
+/// Chains `parts` into `digest` through one
+/// [`heteromap_model::StableHasher`] step.
 fn fold(digest: u64, parts: &[u64]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = heteromap_model::StableHasher::new();
     digest.hash(&mut h);
     for p in parts {
         p.hash(&mut h);

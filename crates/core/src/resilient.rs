@@ -104,7 +104,7 @@ impl RetryPolicy {
         let growth = self.backoff_multiplier.max(1.0) + 1.0;
         let mut wait = base;
         for k in 1..=retry {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
+            let mut h = heteromap_model::StableHasher::new();
             self.seed.hash(&mut h);
             k.hash(&mut h);
             let unit = h.finish() as f64 / (u64::MAX as f64 + 1.0); // [0, 1)

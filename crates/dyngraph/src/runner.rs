@@ -407,10 +407,11 @@ fn max_component_shift(a: &IVector, b: &IVector) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Order-sensitive digest fold (SipHash with the standard library's fixed
-/// keys, so stable across processes and platforms).
+/// Order-sensitive digest fold (the zero-key SipHash-1-3 of
+/// [`heteromap_model::StableHasher`], so stable across processes, platforms
+/// and toolchains).
 fn fold_digest(digest: &mut u64, parts: &[u64]) {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = heteromap_model::StableHasher::new();
     h.write_u64(*digest);
     for &p in parts {
         h.write_u64(p);

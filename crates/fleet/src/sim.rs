@@ -726,7 +726,7 @@ impl FleetSim {
             Placer::Random => pending
                 .iter()
                 .map(|job| {
-                    let mut h = std::collections::hash_map::DefaultHasher::new();
+                    let mut h = heteromap_model::StableHasher::new();
                     self.trace.seed.hash(&mut h);
                     job.uid.hash(&mut h);
                     0x31_u8.hash(&mut h);
@@ -897,9 +897,9 @@ impl HubSeries {
     }
 }
 
-/// Chains `parts` into `digest` through one `DefaultHasher` step.
+/// Chains `parts` into `digest` through one `StableHasher` step.
 fn fold(digest: u64, parts: &[u64]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = heteromap_model::StableHasher::new();
     digest.hash(&mut h);
     for p in parts {
         p.hash(&mut h);

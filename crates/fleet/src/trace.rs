@@ -130,7 +130,7 @@ impl FleetTrace {
     /// indices into [`WORKLOADS`] / [`DATASETS`], drawn independently of the
     /// fault schedule.
     pub fn job_for(&self, round: u32, k: u32) -> (usize, usize) {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = heteromap_model::StableHasher::new();
         self.seed.hash(&mut h);
         0x00F1_EE70_u32.hash(&mut h);
         round.hash(&mut h);
@@ -164,7 +164,7 @@ impl FleetTrace {
 
     /// Deterministic draw in `[0, 1)` for one `(cell, salt)` pair.
     fn hash_unit(&self, cell: u64, salt: u8) -> f64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = heteromap_model::StableHasher::new();
         self.seed.hash(&mut h);
         cell.hash(&mut h);
         salt.hash(&mut h);

@@ -15,13 +15,16 @@
 //!   ablation study),
 //! * [`mspace`] — enumeration/sampling of the M search space for autotuning,
 //! * [`workload`] — the named graph benchmarks of Fig. 5 with their
-//!   published/derived B profiles.
+//!   published/derived B profiles,
+//! * [`hash`] — [`StableHasher`], the specified SipHash-1-3 behind every
+//!   seeded draw and digest in the workspace.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod bvec;
 pub mod discretize;
+pub mod hash;
 pub mod ivec;
 pub mod mconfig;
 pub mod mspace;
@@ -29,6 +32,7 @@ pub mod workload;
 
 pub use bvec::BVector;
 pub use discretize::Grid;
+pub use hash::StableHasher;
 pub use ivec::IVector;
 pub use mconfig::{Accelerator, MConfig, OmpSchedule};
 pub use workload::Workload;

@@ -550,6 +550,9 @@ impl ServeEngine {
                 self.metrics.batches.inc();
                 self.metrics.batched_requests.inc();
                 self.metrics.batch_sizes.record(1.0);
+                // A batch of one is a queue of depth one, so every batched
+                // request is reflected in the depth peak.
+                self.metrics.queue_depth_peak.observe(1);
                 slot.fill(value);
                 return value;
             }

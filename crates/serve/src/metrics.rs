@@ -41,7 +41,9 @@ pub struct MetricsRegistry {
     pub batches: Counter,
     /// Requests served by batched passes.
     pub batched_requests: Counter,
-    /// Peak submission-queue depth.
+    /// Peak submission-queue depth: the most misses ever waiting on one
+    /// assembly lane, counting a miss resolved inline on an idle lane as a
+    /// queue of one.
     pub queue_depth_peak: PeakGauge,
     /// Placements routed to the GPU.
     pub gpu_placements: Counter,

@@ -7,6 +7,7 @@
 //! and misses charge the full inference cost.
 
 use heteromap::HeteroMap;
+use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_graph::datasets::Dataset;
 use heteromap_graph::GraphStats;
@@ -70,15 +71,27 @@ fn deep_engine(mode: ServeMode) -> ServeEngine {
     ServeEngine::new(deep_model(), ServeConfig::with_mode(mode))
 }
 
-fn assert_identical(a: &Served, b: &Served, what: &str) {
+/// Asserts that `a` and `b`, two answers to `request`, placed identically:
+/// the same configuration, energy and utilization bit for bit, and each
+/// completion time exactly the healthy fast path's
+/// `system.deploy(ctx, &config).time_ms + predictor_overhead_ms`. Hits and
+/// misses charge different overheads, so the times are checked against that
+/// exact sum rather than by subtracting the overhead back out, which can
+/// lose the last ulp.
+fn assert_identical(request: (Workload, GraphStats), a: &Served, b: &Served, what: &str) {
     assert_eq!(a.placement.config, b.placement.config, "{what}: config");
-    // Completion time differs only by the charged overhead; everything the
-    // deploy computed must agree bit-for-bit.
-    assert_eq!(
-        (a.placement.report.time_ms - a.placement.predictor_overhead_ms).to_bits(),
-        (b.placement.report.time_ms - b.placement.predictor_overhead_ms).to_bits(),
-        "{what}: base completion time"
-    );
+    let (workload, stats) = request;
+    let ctx = WorkloadContext::for_workload(workload, stats);
+    let base_ms = MultiAcceleratorSystem::primary()
+        .deploy(&ctx, &a.placement.config)
+        .time_ms;
+    for (side, s) in [("left", a), ("right", b)] {
+        assert_eq!(
+            s.placement.report.time_ms.to_bits(),
+            (base_ms + s.placement.predictor_overhead_ms).to_bits(),
+            "{what}: {side} completion time"
+        );
+    }
     assert_eq!(
         a.placement.report.energy_j.to_bits(),
         b.placement.report.energy_j.to_bits(),
@@ -106,8 +119,8 @@ fn all_modes_agree_across_thread_counts() {
             let engine = deep_engine(mode);
             let served = engine.serve_all(&requests, threads);
             assert_eq!(served.len(), baseline.len());
-            for (s, b) in served.iter().zip(&baseline) {
-                assert_identical(s, b, &format!("{mode:?} x{threads}"));
+            for ((s, b), &request) in served.iter().zip(&baseline).zip(&requests) {
+                assert_identical(request, s, b, &format!("{mode:?} x{threads}"));
             }
         }
     }
@@ -118,10 +131,6 @@ fn lane_counts_never_change_answers() {
     // The lane count shards batch assembly; it must never leak into
     // results. Pin a few counts spanning one lane to more lanes than
     // threads, and check each against the uncached single-thread baseline.
-    // Configs, energy and utilization must agree bit-for-bit; the base
-    // completion time is compared with a tolerance because the charged
-    // overhead differs per batch composition and `(base + o) - o` can
-    // legitimately differ in the last ulp.
     let requests = mixed_requests(2, 2);
     let baseline = deep_engine(ServeMode::Uncached).serve_all(&requests, 1);
     assert!(heteromap_serve::default_lanes() >= 1);
@@ -133,25 +142,8 @@ fn lane_counts_never_change_answers() {
         for threads in [1usize, 4] {
             let served = engine.serve_all(&requests, threads);
             assert_eq!(served.len(), baseline.len());
-            for (s, b) in served.iter().zip(&baseline) {
-                let what = format!("{lanes} lanes x{threads}");
-                assert_eq!(s.placement.config, b.placement.config, "{what}: config");
-                assert_eq!(
-                    s.placement.report.energy_j.to_bits(),
-                    b.placement.report.energy_j.to_bits(),
-                    "{what}: energy"
-                );
-                assert_eq!(
-                    s.placement.report.utilization.to_bits(),
-                    b.placement.report.utilization.to_bits(),
-                    "{what}: utilization"
-                );
-                let s_base = s.placement.report.time_ms - s.placement.predictor_overhead_ms;
-                let b_base = b.placement.report.time_ms - b.placement.predictor_overhead_ms;
-                assert!(
-                    (s_base - b_base).abs() <= 1e-9 * b_base.abs().max(1.0),
-                    "{what}: base completion time {s_base} vs {b_base}"
-                );
+            for ((s, b), &request) in served.iter().zip(&baseline).zip(&requests) {
+                assert_identical(request, s, b, &format!("{lanes} lanes x{threads}"));
             }
         }
     }
@@ -456,8 +448,13 @@ fn batched_serving_is_bit_identical_under_contention_with_racing_invalidation() 
     });
 
     assert_eq!(served.len(), baseline.len());
-    for (s, b) in served.iter().zip(&baseline) {
-        assert_identical(s, b, "batched x16 vs uncached x1 under invalidation");
+    for ((s, b), &request) in served.iter().zip(&baseline).zip(&requests) {
+        assert_identical(
+            request,
+            s,
+            b,
+            "batched x16 vs uncached x1 under invalidation",
+        );
     }
     let snap = engine.metrics().snapshot();
     assert_eq!(snap.requests, requests.len() as u64);

@@ -1,12 +1,10 @@
 //! Criterion bench: the nine real graph kernels on dataset surrogates, at
-//! one and several threads — the host-execution counterpart of the paper's
-//! workload suite. The multi-threaded configuration is measured on both
-//! execution engines (persistent pool vs spawn-per-call scoped threads), so
-//! the before/after of the engine rework stays visible in every report.
+//! one and several threads on the persistent pool — the host-execution
+//! counterpart of the paper's workload suite.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use heteromap_graph::datasets::Dataset;
-use heteromap_kernels::{ExecEngine, KernelRunner};
+use heteromap_kernels::KernelRunner;
 use heteromap_model::Workload;
 
 fn bench_kernels(c: &mut Criterion) {
@@ -19,25 +17,11 @@ fn bench_kernels(c: &mut Criterion) {
     group.sample_size(10);
     for w in Workload::all() {
         for (graph, tag) in [(&road, "road"), (&social, "social")] {
-            // Single-threaded: engines are identical (inline execution).
-            let runner = KernelRunner::new(1).with_pagerank_iterations(5);
-            group.bench_with_input(
-                BenchmarkId::new(format!("{w}/{tag}"), 1),
-                &1usize,
-                |b, _| b.iter(|| black_box(runner.run(w, graph).output.checksum())),
-            );
-            // Multi-threaded: pooled (the default) vs the legacy
-            // spawn-per-call baseline.
-            for (engine, engine_tag) in [
-                (ExecEngine::Pooled, "4-pooled"),
-                (ExecEngine::SpawnPerCall, "4-spawn"),
-            ] {
-                let runner = KernelRunner::new(4)
-                    .with_pagerank_iterations(5)
-                    .with_engine(engine);
+            for threads in [1usize, 4] {
+                let runner = KernelRunner::new(threads).with_pagerank_iterations(5);
                 group.bench_with_input(
-                    BenchmarkId::new(format!("{w}/{tag}"), engine_tag),
-                    &engine_tag,
+                    BenchmarkId::new(format!("{w}/{tag}"), threads),
+                    &threads,
                     |b, _| b.iter(|| black_box(runner.run(w, graph).output.checksum())),
                 );
             }

@@ -25,14 +25,12 @@
 use crate::plan::{ChaosEvent, ChaosPlan, DATASETS, WORKLOADS};
 use heteromap::{AttemptOutcome, BreakerBoard, BreakerConfig, DeployOptions, HeteroMap};
 use heteromap_accel::cost::WorkloadContext;
-use heteromap_model::Accelerator;
+use heteromap_model::{fold_digest, Accelerator};
 use heteromap_obs::metrics::{
     DriftConfig, HealthBoard, HealthSignal, MetricsHub, SeriesDetector, SignalKind,
     LATENCY_BOUNDS_MS,
 };
 use heteromap_serve::{ServeConfig, ServeEngine, ServeMode, Served};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How one chaos request resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,7 +309,7 @@ impl ChaosRunner {
                 for slot in 0..n {
                     board.on_shed_open();
                     report.shed += 1;
-                    digest = fold(
+                    digest = fold_digest(
                         digest,
                         &[u64::from(round), slot as u64, Resolution::Shed.tag()],
                     );
@@ -343,7 +341,7 @@ impl ChaosRunner {
             let mut overdraft_sum = 0.0f64;
             // Serial fold in slot order: breaker evolution and the digest
             // are independent of which worker computed which slot.
-            for (slot, deadline, served) in &outcomes {
+            for (slot, (deadline, served)) in outcomes.iter().enumerate() {
                 let time_ms = served.placement.report.time_ms;
                 let within = time_ms <= *deadline;
                 let completed = served.placement.completed();
@@ -390,7 +388,7 @@ impl ChaosRunner {
                 }
                 let mut parts = vec![
                     u64::from(round),
-                    *slot as u64,
+                    slot as u64,
                     resolution.tag(),
                     u64::from(served.placement.accelerator() == Accelerator::Gpu),
                     time_ms.to_bits(),
@@ -403,7 +401,7 @@ impl ChaosRunner {
                         .iter()
                         .map(|x| x.to_bits()),
                 );
-                digest = fold(digest, &parts);
+                digest = fold_digest(digest, &parts);
             }
             report.good += good;
             report.late += late;
@@ -569,66 +567,28 @@ impl ChaosRunner {
         }
     }
 
-    /// Evaluates one round's slots across workers; slots are pure given the
-    /// routing snapshot, so only the claim order is racy — results are
-    /// re-sorted by slot.
+    /// Evaluates one round's slots on the pool, in slot order. Slots are
+    /// pure given the routing snapshot, so which participant computes a
+    /// slot never changes what it resolves to.
     fn evaluate_round(
         &self,
         round: u32,
         n: usize,
         avoid: Option<Accelerator>,
         threads: usize,
-    ) -> Vec<(usize, f64, Served)> {
-        let cursor = AtomicUsize::new(0);
-        let workers = threads.min(n.max(1));
-        let mut outcomes: Vec<(usize, f64, Served)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                            if slot >= n {
-                                break;
-                            }
-                            let (wi, di) = self.plan.request_for(round, slot as u32);
-                            let deadline = self.deadline_ms(wi, di);
-                            let ctx =
-                                WorkloadContext::for_workload(WORKLOADS[wi], DATASETS[di].stats());
-                            let opts = if self.resilient {
-                                DeployOptions::with_deadline_ms(deadline).avoiding(avoid)
-                            } else {
-                                DeployOptions::default()
-                            };
-                            out.push((
-                                slot,
-                                deadline,
-                                self.engine.schedule_context_opts(&ctx, opts),
-                            ));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("chaos worker panicked"))
-                .collect()
-        });
-        outcomes.sort_by_key(|(slot, _, _)| *slot);
-        outcomes
+    ) -> Vec<(f64, Served)> {
+        heteromap::par_map(n, threads, |slot| {
+            let (wi, di) = self.plan.request_for(round, slot as u32);
+            let deadline = self.deadline_ms(wi, di);
+            let ctx = WorkloadContext::for_workload(WORKLOADS[wi], DATASETS[di].stats());
+            let opts = if self.resilient {
+                DeployOptions::with_deadline_ms(deadline).avoiding(avoid)
+            } else {
+                DeployOptions::default()
+            };
+            (deadline, self.engine.schedule_context_opts(&ctx, opts))
+        })
     }
-}
-
-/// Chains `parts` into `digest` through one
-/// [`heteromap_model::StableHasher`] step.
-fn fold(digest: u64, parts: &[u64]) -> u64 {
-    let mut h = heteromap_model::StableHasher::new();
-    digest.hash(&mut h);
-    for p in parts {
-        p.hash(&mut h);
-    }
-    h.finish()
 }
 
 #[cfg(test)]

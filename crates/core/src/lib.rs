@@ -51,6 +51,7 @@ mod telemetry;
 
 pub use breaker::{BreakerBoard, BreakerConfig, BreakerState, CircuitBreaker};
 pub use framework::HeteroMap;
+pub use heteromap_kernels::par::par_map;
 pub use online::stream_with;
 pub use report::{Placement, StreamReport};
 pub use resilient::{

@@ -37,9 +37,8 @@ use heteromap::{clamp_config_for, HeteroMap};
 use heteromap_accel::WorkloadContext;
 use heteromap_graph::GraphStats;
 use heteromap_kernels::KernelRunner;
-use heteromap_model::{Accelerator, IVector, MConfig, Workload};
+use heteromap_model::{fold_digest, Accelerator, IVector, MConfig, Workload};
 use heteromap_obs::metrics::drift::{DriftConfig, HealthBoard, SeriesDetector, SignalKind};
-use std::hash::Hasher;
 
 /// Fixed number of virtual worker lanes the utilization signal is modeled
 /// over. A constant (rather than the host thread count) so the signal —
@@ -323,8 +322,8 @@ impl<'a> DynRunner<'a> {
                 board.expire(epoch as u64);
             }
 
-            fold_digest(
-                &mut digest,
+            digest = fold_digest(
+                digest,
                 &[
                     epoch as u64,
                     effect.inserted as u64,
@@ -407,18 +406,6 @@ fn max_component_shift(a: &IVector, b: &IVector) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Order-sensitive digest fold (the zero-key SipHash-1-3 of
-/// [`heteromap_model::StableHasher`], so stable across processes, platforms
-/// and toolchains).
-fn fold_digest(digest: &mut u64, parts: &[u64]) {
-    let mut h = heteromap_model::StableHasher::new();
-    h.write_u64(*digest);
-    for &p in parts {
-        h.write_u64(p);
-    }
-    *digest = h.finish();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,6 +465,31 @@ mod tests {
             .with_config(cfg)
             .run(&mut graph, &trace);
         assert_eq!(report.repredictions, 0, "calm epochs must stay calm");
+    }
+
+    /// The digest pins the fold, the hasher and every epoch's outcome; the
+    /// value was computed before the fold moved into `heteromap-model`.
+    #[test]
+    fn digest_is_pinned() {
+        let hm = HeteroMap::with_decision_tree();
+        let gen = Densifying::new(250, 5, 350);
+        let trace = densifying_trace(&gen, 7, 1);
+        for threads in [1, 4] {
+            let mut graph = DynGraph::new(gen.vertices());
+            let cfg = DynRunnerConfig {
+                threads,
+                kernel_iterations: 2,
+                ..Default::default()
+            };
+            let report = DynRunner::new(&hm, Workload::LabelProp)
+                .with_config(cfg)
+                .run(&mut graph, &trace);
+            assert_eq!(
+                report.digest, 0xa09d_4759_0a6f_43a7,
+                "threads={threads}: got {:#018x}",
+                report.digest
+            );
+        }
     }
 
     #[test]

@@ -29,13 +29,12 @@ use crate::trace::{FleetTrace, DATASETS, WORKLOADS};
 use heteromap::{clamp_config_for, BreakerConfig, CircuitBreaker, HeteroMap};
 use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::{DeployError, FaultState, Occupancy};
-use heteromap_model::MConfig;
+use heteromap_model::{fold_digest, MConfig};
 use heteromap_obs::metrics::{
     Counter, DriftConfig, Gauge, HealthBoard, SeriesDetector, SignalKind,
 };
 use heteromap_tune::{mix, PLACEMENT_SLOTS};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Deploy attempts per device before a job gives up and migrates.
@@ -440,7 +439,7 @@ impl FleetSim {
                                 job.uid, job.migrations
                             )
                         });
-                        digest = fold(
+                        digest = fold_digest(
                             digest,
                             &[u64::from(round), job.uid, Resolution::Shed.tag(), 0],
                         );
@@ -512,7 +511,7 @@ impl FleetSim {
                             }
                             parts.insert(2, Resolution::Failed.tag());
                         }
-                        digest = fold(digest, &parts);
+                        digest = fold_digest(digest, &parts);
                     }
                 }
             }
@@ -570,7 +569,7 @@ impl FleetSim {
         // Safety net for the drain cap: anything still pending failed.
         for job in pending.iter().chain(requeue.iter()) {
             report.failed += 1;
-            digest = fold(
+            digest = fold_digest(
                 digest,
                 &[u64::from(round), job.uid, Resolution::Failed.tag()],
             );
@@ -605,9 +604,9 @@ impl FleetSim {
         report
     }
 
-    /// Evaluates every pending job's outcome on every device across
-    /// workers; slots are pure given the episode snapshot, so only the
-    /// claim order is racy — results are re-sorted by slot.
+    /// Evaluates every pending job's outcome on every device on the pool,
+    /// in slot order. Slots are pure given the episode snapshot, so which
+    /// participant computes a slot never changes what it resolves to.
     fn evaluate_slots(
         &self,
         pending: &[PendingJob],
@@ -615,48 +614,23 @@ impl FleetSim {
         states: &[FaultState],
         threads: usize,
     ) -> Vec<Vec<DeviceOutcome>> {
-        let n = pending.len();
-        let cursor = AtomicUsize::new(0);
-        let workers = threads.min(n.max(1));
-        let mut rows: Vec<(usize, Vec<DeviceOutcome>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                            if slot >= n {
-                                break;
-                            }
-                            let job = &pending[slot];
-                            let combo = self.combo(job.wi, job.di);
-                            let row = self
-                                .cluster
-                                .devices()
-                                .iter()
-                                .map(|device| {
-                                    self.resolve_on(
-                                        &self.base[combo].0,
-                                        &quotes[combo][device.id],
-                                        states[device.id],
-                                        device.id,
-                                        job,
-                                    )
-                                })
-                                .collect();
-                            out.push((slot, row));
-                        }
-                        out
-                    })
+        heteromap::par_map(pending.len(), threads, |slot| {
+            let job = &pending[slot];
+            let combo = self.combo(job.wi, job.di);
+            self.cluster
+                .devices()
+                .iter()
+                .map(|device| {
+                    self.resolve_on(
+                        &self.base[combo].0,
+                        &quotes[combo][device.id],
+                        states[device.id],
+                        device.id,
+                        job,
+                    )
                 })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fleet worker panicked"))
                 .collect()
-        });
-        rows.sort_by_key(|(slot, _)| *slot);
-        rows.into_iter().map(|(_, row)| row).collect()
+        })
     }
 
     /// Resolves one (job, device) pair: up to [`MAX_ATTEMPTS`] attempts
@@ -895,16 +869,6 @@ impl HubSeries {
             ),
         }
     }
-}
-
-/// Chains `parts` into `digest` through one `StableHasher` step.
-fn fold(digest: u64, parts: &[u64]) -> u64 {
-    let mut h = heteromap_model::StableHasher::new();
-    digest.hash(&mut h);
-    for p in parts {
-        p.hash(&mut h);
-    }
-    h.finish()
 }
 
 #[cfg(test)]

@@ -24,7 +24,8 @@
 //!
 //! The execution engine lives in [`pool`] (long-lived parked workers,
 //! spawned once per process) and [`frontier`] (lock-free shared frontier
-//! buffers); [`par`] exposes the schedulers and the engine toggle.
+//! buffers); [`par`] exposes the schedulers and the ordered fan-out
+//! [`par::par_map`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -48,7 +49,6 @@ pub mod triangle;
 pub mod verify;
 mod vote;
 
-pub use par::ExecEngine;
 pub use runner::{KernelOutput, KernelRunner};
 
 /// Distance value used by the shortest-path kernels.

@@ -1,12 +1,11 @@
-//! Minimal data-parallel helpers, pool-backed by default.
+//! Minimal data-parallel helpers on the persistent pool.
 //!
 //! Every helper funnels through [`run_threads`], which executes parallel
-//! regions on the persistent [`crate::pool::ThreadPool`] unless the caller
-//! scopes in [`ExecEngine::SpawnPerCall`] (the seed's spawn-and-join
-//! behaviour, kept for baseline measurement and A/B testing).
+//! regions on the process-wide [`crate::pool::ThreadPool`]; [`par_map`] is
+//! the index-ordered fan-out built on it.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Work-distribution policy for a parallel loop — the host realization of
 /// the paper's `OMP for schedule` machine choice (`M11`) and chunk size
@@ -69,43 +68,13 @@ impl Scheduler {
     }
 }
 
-/// Which execution engine parallel regions run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecEngine {
-    /// The persistent [`crate::pool::ThreadPool`]: workers are spawned once
-    /// and parked between regions (the default).
-    #[default]
-    Pooled,
-    /// Fresh OS threads per region via scoped spawn — the seed behaviour,
-    /// kept as the baseline for `exp_engine_speedup`.
-    SpawnPerCall,
-}
-
-thread_local! {
-    static ENGINE: Cell<ExecEngine> = const { Cell::new(ExecEngine::Pooled) };
-}
-
-/// The engine parallel regions entered from this thread currently use.
-pub fn current_engine() -> ExecEngine {
-    ENGINE.with(Cell::get)
-}
-
-/// Runs `f` with all parallel regions entered from this thread executing on
-/// `engine`, restoring the previous engine afterwards (also on panic).
-pub fn with_engine<R>(engine: ExecEngine, f: impl FnOnce() -> R) -> R {
-    struct Restore(ExecEngine);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            ENGINE.with(|e| e.set(self.0));
-        }
-    }
-    let _restore = Restore(ENGINE.with(|e| e.replace(engine)));
-    f()
-}
-
-/// Runs `work` on `threads` workers, each receiving its worker index.
-/// Dispatches to the persistent pool or to spawn-per-call scoped threads
-/// according to [`current_engine`]; either way this is a full barrier.
+/// Runs `work` on `threads` workers, each receiving its worker index, on
+/// the persistent [`ThreadPool`](crate::pool::ThreadPool); the caller is
+/// worker 0 and the call is a full barrier. `threads <= 1` runs inline.
+///
+/// Regions on the global pool do not nest: `work` must not enter another
+/// parallel region with more than one thread (the region mutex is not
+/// re-entrant, so a nested region deadlocks).
 ///
 /// # Panics
 ///
@@ -119,30 +88,56 @@ where
         work(0);
         return;
     }
-    match current_engine() {
-        ExecEngine::Pooled => crate::pool::ThreadPool::global().run(threads, work),
-        ExecEngine::SpawnPerCall => run_threads_spawn(threads, work),
-    }
+    crate::pool::ThreadPool::global().run(threads, work);
 }
 
-/// The seed's spawn-and-join realization of a parallel region: `threads`
-/// fresh scoped OS threads, created and joined inside the call.
-pub fn run_threads_spawn<F>(threads: usize, work: F)
+/// Computes `f(i)` for every `i in 0..n` on up to `threads` pool
+/// participants and returns the results in index order — the one ordered
+/// fan-out every deterministic round loop and parallel evaluator uses.
+///
+/// Participants claim indices one at a time through
+/// [`Scheduler::Dynamic`] with `grain: 1`, and each result lands in its own
+/// per-index slot, so the output never depends on which participant
+/// computed what. `threads` is clamped to `n`; `threads <= 1` runs inline.
+///
+/// The same no-nesting rule as [`run_threads`] applies: `f` must not enter
+/// another parallel region with more than one thread.
+///
+/// # Panics
+///
+/// Propagates panics from `f`.
+///
+/// # Example
+///
+/// ```
+/// use heteromap_kernels::par::par_map;
+///
+/// assert_eq!(par_map(5, 3, |i| i * i), vec![0, 1, 4, 9, 16]);
+/// ```
+pub fn par_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
-    F: Fn(usize) + Sync,
+    T: Send,
+    F: Fn(usize) -> T + Sync,
 {
-    let threads = threads.max(1);
+    let threads = threads.max(1).min(n.max(1));
     if threads == 1 {
-        work(0);
-        return;
+        return (0..n).map(f).collect();
     }
-    crossbeam::thread::scope(|s| {
-        for t in 0..threads {
-            let work = &work;
-            s.spawn(move |_| work(t));
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    Scheduler::Dynamic { grain: 1 }.for_each(n, threads, |range| {
+        for i in range {
+            let value = f(i);
+            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
         }
-    })
-    .expect("kernel worker thread panicked");
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("every index is claimed exactly once")
+        })
+        .collect()
 }
 
 /// Splits `0..n` into `threads` contiguous ranges and runs `work(range)` in
@@ -424,42 +419,49 @@ mod tests {
     }
 
     #[test]
-    fn engines_produce_identical_coverage() {
-        for engine in [ExecEngine::Pooled, ExecEngine::SpawnPerCall] {
-            with_engine(engine, || {
-                assert_eq!(current_engine(), engine);
-                let n = 512;
-                let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-                par_ranges(n, 4, |r| {
-                    for i in r {
-                        hits[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-                assert!(
-                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "{engine:?}"
-                );
-            });
+    fn par_map_returns_results_in_index_order() {
+        let serial: Vec<String> = (0..257).map(|i| format!("v{}", i * 7)).collect();
+        for threads in [1, 2, 4, 16, 1000] {
+            assert_eq!(
+                par_map(257, threads, |i| format!("v{}", i * 7)),
+                serial,
+                "threads={threads}"
+            );
         }
-        assert_eq!(current_engine(), ExecEngine::Pooled);
     }
 
     #[test]
-    fn with_engine_restores_on_unwind() {
+    fn par_map_calls_f_once_per_index() {
+        let calls = AtomicUsize::new(0);
+        let out = par_map(100, 4, |i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            i
+        });
+        assert_eq!(out, (0..100).collect::<Vec<_>>());
+        assert_eq!(calls.load(Ordering::Relaxed), 100);
+    }
+
+    #[test]
+    fn par_map_handles_empty_input() {
+        let out: Vec<u8> = par_map(0, 8, |_| panic!("no work expected"));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn par_map_propagates_panics() {
         let result = std::panic::catch_unwind(|| {
-            with_engine(ExecEngine::SpawnPerCall, || panic!("scoped"));
+            par_map(16, 4, |i| {
+                assert_ne!(i, 11, "index 11 fails");
+                i
+            })
         });
         assert!(result.is_err());
-        assert_eq!(current_engine(), ExecEngine::Pooled);
+        // The pool stays usable after a participant panicked.
+        assert_eq!(par_map(3, 2, |i| i + 1), vec![1, 2, 3]);
     }
 
     #[test]
     fn default_scheduler_is_static() {
         assert_eq!(Scheduler::default(), Scheduler::Static);
-    }
-
-    #[test]
-    fn default_engine_is_pooled() {
-        assert_eq!(ExecEngine::default(), ExecEngine::Pooled);
     }
 }

@@ -1,12 +1,11 @@
 //! Persistent worker-thread pool — the execution engine behind every
-//! parallel kernel loop.
+//! parallel kernel loop and every [`crate::par::par_map`] fan-out.
 //!
 //! The paper's deployment step assumes the predicted `M` configuration runs
 //! on an accelerator whose execution resources already exist; spawning and
-//! joining fresh OS threads inside every parallel region (the seed's
-//! `crossbeam::thread::scope` realization) charges a thread-creation tax
-//! once per BFS level and twice per PageRank iteration, which dwarfs the
-//! actual edge work on small and medium graphs. This pool spawns each
+//! joining fresh scoped OS threads inside every parallel region charges a
+//! thread-creation tax once per BFS level and twice per PageRank iteration,
+//! which dwarfs the actual edge work on small and medium graphs. This pool spawns each
 //! worker once, parks it on a condvar between parallel regions, and reuses
 //! it for every subsequent kernel invocation, so a full 81-combination
 //! bench sweep pays thread creation `O(threads)` times instead of
@@ -219,7 +218,8 @@ impl ThreadPool {
             return;
         }
         self.ensure_workers(threads - 1);
-        // One region at a time; kernels never nest parallel regions.
+        // One region at a time. Regions must not nest: this mutex is not
+        // re-entrant, so a participant entering a second region deadlocks.
         let _region = self.region.lock().unwrap_or_else(|e| e.into_inner());
         {
             let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());

@@ -1,6 +1,6 @@
 //! Uniform kernel dispatch used by examples, tests and benches.
 
-use crate::par::{ExecEngine, Scheduler};
+use crate::par::Scheduler;
 use crate::{
     bfs, community, conncomp, dfs, kcore, labelprop, pagerank, pagerank_dp, spmv, sssp_bf,
     sssp_delta, triangle,
@@ -61,11 +61,9 @@ pub struct KernelRun {
 /// implementations.
 ///
 /// Every run executes on the process-wide persistent
-/// [`ThreadPool`](crate::pool::ThreadPool) by default: the runner leases the
-/// pool for the duration of each kernel invocation, so a full bench sweep
-/// spawns each worker thread once instead of once per parallel region. Use
-/// [`KernelRunner::with_engine`] with [`ExecEngine::SpawnPerCall`] to
-/// measure against the legacy spawn-and-join behaviour.
+/// [`ThreadPool`](crate::pool::ThreadPool): the runner leases the pool for
+/// the duration of each kernel invocation, so a full bench sweep spawns
+/// each worker thread once instead of once per parallel region.
 ///
 /// # Example
 ///
@@ -86,7 +84,6 @@ pub struct KernelRunner {
     community_iterations: u32,
     delta: f32,
     scheduler: Scheduler,
-    engine: ExecEngine,
 }
 
 impl KernelRunner {
@@ -99,7 +96,6 @@ impl KernelRunner {
             community_iterations: 10,
             delta: 4.0,
             scheduler: Scheduler::Static,
-            engine: ExecEngine::Pooled,
         }
     }
 
@@ -149,12 +145,6 @@ impl KernelRunner {
         self
     }
 
-    /// Sets the execution engine (persistent pool vs spawn-per-call).
-    pub fn with_engine(mut self, engine: ExecEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Sets the traversal source vertex (default 0).
     pub fn with_source(mut self, source: VertexId) -> Self {
         self.source = source;
@@ -185,11 +175,6 @@ impl KernelRunner {
         self.threads
     }
 
-    /// Execution engine this runner uses.
-    pub fn engine(&self) -> ExecEngine {
-        self.engine
-    }
-
     /// Runs `workload` on `graph`, timing the kernel body.
     ///
     /// # Panics
@@ -201,7 +186,7 @@ impl KernelRunner {
         let _span = heteromap_obs::span_cat(name, "kernel");
         let _region = heteromap_obs::region_scope(name);
         let start = Instant::now();
-        let output = crate::par::with_engine(self.engine, || self.dispatch(workload, graph));
+        let output = self.dispatch(workload, graph);
         KernelRun {
             output,
             elapsed: start.elapsed(),
@@ -449,25 +434,5 @@ mod tests {
         assert_eq!(r.source, 5);
         assert_eq!(r.pagerank_iterations, 3);
         assert_eq!(r.delta, 2.0);
-        assert_eq!(r.engine(), ExecEngine::Pooled);
-    }
-
-    #[test]
-    fn engines_agree_on_every_workload() {
-        let g = UniformRandom::new(220, 1_400).generate(8);
-        let pooled = KernelRunner::new(4).with_pagerank_iterations(6);
-        let spawned = pooled.with_engine(ExecEngine::SpawnPerCall);
-        assert_eq!(spawned.engine(), ExecEngine::SpawnPerCall);
-        for w in Workload::all() {
-            let a = pooled.run(w, &g).output.checksum();
-            let b = spawned.run(w, &g).output.checksum();
-            if matches!(w, Workload::Dfs) {
-                // DFS trees are scheduling-dependent; both engines must
-                // still reach the same vertex set.
-                continue;
-            }
-            // 1e-4: PageRank-DP's atomic f32 adds reorder across runs.
-            assert!((a - b).abs() < 1e-4, "{w}: pooled {a} vs spawn {b}");
-        }
     }
 }

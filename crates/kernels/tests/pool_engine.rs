@@ -7,7 +7,7 @@
 use heteromap_graph::gen::{GraphGenerator, PowerLaw, UniformRandom};
 use heteromap_graph::{CsrGraph, EdgeList, VertexId};
 use heteromap_kernels::verify::{bfs_seq, conncomp_seq, dijkstra, pagerank_seq, triangle_seq};
-use heteromap_kernels::{ExecEngine, KernelOutput, KernelRunner};
+use heteromap_kernels::{KernelOutput, KernelRunner};
 use heteromap_model::Workload;
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 16];
@@ -139,19 +139,5 @@ fn repeated_runs_on_the_reused_pool_are_deterministic() {
         for round in 0..5 {
             assert_eq!(runner.run(w, &g).output, first, "{w}: round {round}");
         }
-    }
-}
-
-#[test]
-fn spawn_per_call_engine_matches_pool_engine() {
-    let g = PowerLaw::new(400, 5).generate(2);
-    let pooled = KernelRunner::new(4);
-    let spawned = pooled.with_engine(ExecEngine::SpawnPerCall);
-    for w in [Workload::Bfs, Workload::SsspBf, Workload::ConnComp] {
-        assert_eq!(
-            pooled.run(w, &g).output,
-            spawned.run(w, &g).output,
-            "{w}: engines disagree"
-        );
     }
 }

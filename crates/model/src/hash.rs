@@ -182,6 +182,18 @@ impl Hasher for StableHasher {
     }
 }
 
+/// Chains `parts` into `digest` through one [`StableHasher`] step: the
+/// order-sensitive fold behind every round-loop digest (chaos, fleet,
+/// dyngraph). Writes `digest` then each part as a little-endian `u64`.
+pub fn fold_digest(digest: u64, parts: &[u64]) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_u64(digest);
+    for &p in parts {
+        h.write_u64(p);
+    }
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

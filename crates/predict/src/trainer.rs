@@ -8,10 +8,10 @@
 //! * [`Trainer::generate_database`] — the serial path; tunes one sample at
 //!   a time.
 //! * [`Trainer::generate_database_parallel`] — fans the per-sample tuning
-//!   runs over the `heteromap-kernels` [`ThreadPool`] with pre-assigned
-//!   strided indices and merges results by index. The synthetic `(B, I)`
-//!   stream is drawn serially *before* the fan-out, so the produced
-//!   database is bit-identical to the serial path's at any worker count.
+//!   runs over the `heteromap-kernels` pool with [`par_map`], which returns
+//!   them in sample order. The synthetic `(B, I)` stream is drawn serially
+//!   *before* the fan-out, so the produced database is bit-identical to the
+//!   serial path's at any worker count.
 //!
 //! Each tuned sample can use either the legacy coarse + hill-climb
 //! [`Autotuner`] or the `heteromap-tune` ensemble (see
@@ -26,13 +26,12 @@ use crate::synth::{SyntheticBenchmark, SyntheticBenchmarks, SyntheticInputs};
 use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_graph::GraphStats;
-use heteromap_kernels::pool::ThreadPool;
+use heteromap_kernels::par::par_map;
 use heteromap_model::{IVector, MConfig};
 use heteromap_tune::{ensemble, EnsembleTuner, TuneConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Samples between two `trainer.progress` diagnostics.
 pub const PROGRESS_INTERVAL: usize = 16;
@@ -186,9 +185,9 @@ impl Trainer {
 
     /// Generates the same database as [`Trainer::generate_database`] —
     /// bit-identical samples, same order — but fans the per-sample tuning
-    /// runs over `threads` workers of the global [`ThreadPool`]. Worker `w`
-    /// tunes sample indices `w, w + threads, ...` and the results are
-    /// merged back by index, so the output does not depend on scheduling.
+    /// runs over `threads` pool participants with [`par_map`], which
+    /// returns them in sample order, so the output does not depend on
+    /// scheduling.
     pub fn generate_database_parallel(
         &self,
         samples: usize,
@@ -208,31 +207,22 @@ impl Trainer {
                 )
             })
             .collect();
-        let results: Vec<Mutex<Option<(MConfig, f64, usize)>>> =
-            (0..samples).map(|_| Mutex::new(None)).collect();
         let done = AtomicUsize::new(0);
         let threads = threads.max(1).min(samples.max(1));
-        ThreadPool::global().run(threads, |w| {
-            let mut index = w;
-            while index < samples {
-                let tuned = self.tune_sample(&contexts[index], index);
-                *results[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(tuned);
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if finished.is_multiple_of(PROGRESS_INTERVAL) || finished == samples {
-                    heteromap_obs::diag("trainer.progress", || {
-                        format!("tuned {finished}/{samples} samples ({threads} workers)")
-                    });
-                }
-                index += threads;
+        let results = par_map(samples, threads, |index| {
+            let tuned = self.tune_sample(&contexts[index], index);
+            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if finished.is_multiple_of(PROGRESS_INTERVAL) || finished == samples {
+                heteromap_obs::diag("trainer.progress", || {
+                    format!("tuned {finished}/{samples} samples ({threads} workers)")
+                });
             }
+            tuned
         });
         let mut set = TrainingSet::new();
-        for (index, (bench, stats, i)) in inputs.into_iter().enumerate() {
-            let (optimal, optimal_cost, evaluations) = results[index]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("every index was assigned to exactly one worker");
+        for ((bench, stats, i), (optimal, optimal_cost, evaluations)) in
+            inputs.into_iter().zip(results)
+        {
             set.push(TrainingSample {
                 b: bench.b,
                 i,

@@ -34,6 +34,7 @@ use crate::metrics::MetricsRegistry;
 use heteromap::{AttemptOutcome, BreakerBoard, BreakerConfig, BreakerState, DeployOptions};
 use heteromap_accel::cost::WorkloadContext;
 use heteromap_graph::GraphStats;
+use heteromap_kernels::par::par_map;
 use heteromap_model::{Accelerator, Workload};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -330,39 +331,31 @@ impl AdmissionController {
         let start = Instant::now();
         let threads = threads.max(1).min(requests.len().max(1));
         let cursor = AtomicUsize::new(0);
-        let tally: AdmittedLoopReport = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut t = AdmittedLoopReport::default();
-                        loop {
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(workload, stats, deadline_ms)) = requests.get(idx) else {
-                                break;
-                            };
-                            let ctx = WorkloadContext::for_workload(workload, stats);
-                            t.requests += 1;
-                            match self.try_schedule_context(engine, &ctx, deadline_ms) {
-                                Ok(served) => {
-                                    t.good += 1;
-                                    if served.source == ServeSource::StaleHit {
-                                        t.stale += 1;
-                                    }
-                                }
-                                Err(Rejected::Overload { .. }) => t.rejected_overload += 1,
-                                Err(Rejected::Deadline { .. }) => t.rejected_deadline += 1,
-                                Err(_) => t.rejected_unhealthy += 1,
-                            }
+        let tally = par_map(threads, threads, |_| {
+            let mut t = AdmittedLoopReport::default();
+            loop {
+                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&(workload, stats, deadline_ms)) = requests.get(idx) else {
+                    break;
+                };
+                let ctx = WorkloadContext::for_workload(workload, stats);
+                t.requests += 1;
+                match self.try_schedule_context(engine, &ctx, deadline_ms) {
+                    Ok(served) => {
+                        t.good += 1;
+                        if served.source == ServeSource::StaleHit {
+                            t.stale += 1;
                         }
-                        t
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("admitted worker panicked"))
-                .fold(AdmittedLoopReport::default(), AdmittedLoopReport::merge)
-        });
+                    }
+                    Err(Rejected::Overload { .. }) => t.rejected_overload += 1,
+                    Err(Rejected::Deadline { .. }) => t.rejected_deadline += 1,
+                    Err(_) => t.rejected_unhealthy += 1,
+                }
+            }
+            t
+        })
+        .into_iter()
+        .fold(AdmittedLoopReport::default(), AdmittedLoopReport::merge);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         AdmittedLoopReport {
             wall_ms,

@@ -29,6 +29,7 @@ use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::FaultPlan;
 use heteromap_graph::datasets::Dataset;
 use heteromap_graph::{CsrGraph, GraphStats};
+use heteromap_kernels::par::{par_map, run_threads};
 use heteromap_model::{BVector, IVector, MConfig, Workload};
 use heteromap_obs::metrics::{SeriesSnapshot, SeriesValue};
 use heteromap_predict::Predictor;
@@ -706,42 +707,21 @@ impl ServeEngine {
         report
     }
 
-    /// Serves every request across `threads` workers, returning results in
-    /// request order. Workers claim requests through a shared cursor, so
-    /// concurrent misses on the same key exercise the single-flight and
+    /// Serves every request across `threads` pool participants, returning
+    /// results in request order. Participants claim requests one at a time,
+    /// so concurrent misses on the same key exercise the single-flight and
     /// batching paths.
     pub fn serve_all(&self, requests: &[(Workload, GraphStats)], threads: usize) -> Vec<Served> {
-        let threads = threads.max(1).min(requests.len().max(1));
-        let cursor = AtomicUsize::new(0);
-        let mut indexed: Vec<(usize, Served)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(workload, stats)) = requests.get(idx) else {
-                                break;
-                            };
-                            out.push((idx, self.schedule_stats(workload, stats)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("serve worker panicked"))
-                .collect()
-        });
-        indexed.sort_by_key(|(idx, _)| *idx);
-        indexed.into_iter().map(|(_, served)| served).collect()
+        par_map(requests.len(), threads, |idx| {
+            let (workload, stats) = requests[idx];
+            self.schedule_stats(workload, stats)
+        })
     }
 
     /// Closed-loop throughput driver: serves every request across `threads`
-    /// workers as fast as they are claimed, and reports wall time and
-    /// requests/second. The per-request results are discarded (they remain
-    /// observable through the metrics registry).
+    /// pool participants as fast as they are claimed, and reports wall time
+    /// and requests/second. The per-request results are discarded (they
+    /// remain observable through the metrics registry).
     pub fn run_closed_loop(
         &self,
         requests: &[(Workload, GraphStats)],
@@ -750,20 +730,16 @@ impl ServeEngine {
         let threads = threads.max(1).min(requests.len().max(1));
         let cursor = AtomicUsize::new(0);
         let start = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(workload, stats)) = requests.get(idx) else {
-                        break;
-                    };
-                    // Results are dropped on the spot: the throughput loop
-                    // must not grow a per-thread Vec (which would put an
-                    // allocator call on every request and skew the
-                    // zero-allocation steady state it exists to measure).
-                    let _ = self.schedule_stats(workload, stats);
-                });
-            }
+        run_threads(threads, |_| loop {
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&(workload, stats)) = requests.get(idx) else {
+                break;
+            };
+            // Results are dropped on the spot: the throughput loop must not
+            // grow a per-participant Vec (which would put an allocator call
+            // on every request and skew the zero-allocation steady state it
+            // exists to measure).
+            let _ = self.schedule_stats(workload, stats);
         });
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         ClosedLoopReport {

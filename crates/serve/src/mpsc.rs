@@ -148,7 +148,10 @@ impl<T> SlotRing<T> {
     }
 }
 
+// The ring's stress tests need free-running OS threads that block and spin
+// on each other, not pool participants.
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use std::collections::HashSet;

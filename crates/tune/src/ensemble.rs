@@ -7,9 +7,8 @@
 //! The loop alternates two phases per round. *Proposal* is strictly serial:
 //! the bandit picks a technique, the technique proposes, and a visited-set
 //! memo filters duplicates — all pure functions of the run seed.
-//! *Evaluation* fans the round's batch over the `heteromap-kernels`
-//! [`ThreadPool`] with pre-assigned indices (worker `w` takes indices
-//! `w, w + t, ...`) and results merged back by index, so the observed
+//! *Evaluation* fans the round's batch over the `heteromap-kernels` pool
+//! with [`par_map`], which returns results in index order, so the observed
 //! sequence — and therefore every subsequent proposal — is identical at any
 //! worker count. Same seed + budget ⇒ bit-identical best configuration on
 //! 1, 4 or 16 threads.
@@ -20,11 +19,10 @@ use crate::technique::{
     Evolution, GridSweep, HillClimb, PatternSearch, RandomSearch, SearchState, Technique,
 };
 use crate::visited::config_key;
-use heteromap_kernels::pool::ThreadPool;
+use heteromap_kernels::par::par_map;
 use heteromap_model::{MConfig, M_DIM};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Which techniques the run searches with.
@@ -458,7 +456,7 @@ impl EnsembleTuner {
 
     /// Costs for one round: recorded evaluations are served from the log
     /// (validated against the replayed proposal), the rest are fanned over
-    /// the pool with pre-assigned strided indices and merged by index.
+    /// the pool with [`par_map`] and come back in proposal order.
     fn evaluate_round<F: Fn(&MConfig) -> f64 + Sync>(
         &self,
         round: &[(usize, MConfig)],
@@ -482,12 +480,9 @@ impl EnsembleTuner {
             }
         }
         if !missing.is_empty() {
-            let fresh = evaluate_parallel(
-                ThreadPool::global(),
-                self.config.threads,
-                &missing.iter().map(|(_, c)| *c).collect::<Vec<_>>(),
-                oracle,
-            );
+            let fresh = par_map(missing.len(), self.config.threads, |k| {
+                oracle(&missing[k].1)
+            });
             for ((i, proposal), cost) in missing.into_iter().zip(fresh) {
                 costs[i] = cost;
                 if let Some(l) = log.as_deref_mut() {
@@ -503,36 +498,6 @@ impl EnsembleTuner {
         }
         Ok(costs)
     }
-}
-
-/// Evaluates `configs` with `oracle`, fanned over `pool` at `threads`
-/// participants. Deterministic and thread-count-invariant: index `i` is
-/// evaluated by participant `i % threads` and results are merged by index;
-/// the output never depends on scheduling order.
-pub fn evaluate_parallel<F: Fn(&MConfig) -> f64 + Sync>(
-    pool: &ThreadPool,
-    threads: usize,
-    configs: &[MConfig],
-    oracle: &F,
-) -> Vec<f64> {
-    let threads = threads.max(1).min(configs.len().max(1));
-    if threads == 1 {
-        return configs.iter().map(oracle).collect();
-    }
-    let results: Vec<AtomicU64> = configs.iter().map(|_| AtomicU64::new(0)).collect();
-    pool.run(threads, |w| {
-        let mut i = w;
-        while i < configs.len() {
-            let cost = oracle(&configs[i]);
-            results[i].store(cost.to_bits(), Ordering::Relaxed);
-            i += threads;
-        }
-    });
-    // The pool's completion barrier orders every store before these loads.
-    results
-        .iter()
-        .map(|r| f64::from_bits(r.load(Ordering::Relaxed)))
-        .collect()
 }
 
 #[cfg(test)]
@@ -659,23 +624,6 @@ mod tests {
             convex_oracle(cfg)
         });
         assert_eq!(out.stop, StopReason::Deadline);
-    }
-
-    #[test]
-    fn parallel_evaluation_matches_serial() {
-        let pool = ThreadPool::new(4);
-        let configs: Vec<MConfig> = (0..33)
-            .map(|k| {
-                let mut c = MConfig::gpu_default();
-                c.global_threads = (k as f64 / 33.0).clamp(0.0, 1.0);
-                c
-            })
-            .collect();
-        let serial: Vec<f64> = configs.iter().map(convex_oracle).collect();
-        for threads in [2, 4, 7] {
-            let par = evaluate_parallel(&pool, threads, &configs, &convex_oracle);
-            assert_eq!(par, serial, "threads={threads}");
-        }
     }
 
     #[test]

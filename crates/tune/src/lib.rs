@@ -32,8 +32,7 @@ pub mod visited;
 pub use bandit::AucBandit;
 pub use coarse::{CoarseOutcome, CoarseRefine};
 pub use ensemble::{
-    evaluate_parallel, mix, CurvePoint, EnsembleTuner, StopReason, Strategy, TechniqueStats,
-    TuneConfig, TuneOutcome,
+    mix, CurvePoint, EnsembleTuner, StopReason, Strategy, TechniqueStats, TuneConfig, TuneOutcome,
 };
 pub use log::{EvalRecord, TuneLog, TuneLogError};
 pub use placement::{PlacementSpace, PLACEMENT_SLOTS};

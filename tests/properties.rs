@@ -247,6 +247,45 @@ proptest! {
     }
 }
 
+// Fault intensity only ever adds faults: raising it keeps every faulty
+// episode (chaos) and every faulty (device, episode) cell (fleet) exactly as
+// it was, because each cell's fault/no-fault draw is compared against the
+// intensity and its kind and severity use independent draws.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn raising_intensity_keeps_every_fault_unchanged(
+        seed in 0u64..1_000_000,
+        x in 0.0f64..=1.0,
+        y in 0.0f64..=1.0,
+    ) {
+        let (a, b) = (x.min(y), x.max(y));
+        let (low, high) = (
+            heteromap_chaos::ChaosPlan::seeded(seed, a),
+            heteromap_chaos::ChaosPlan::seeded(seed, b),
+        );
+        for episode in 0..64 {
+            let event = low.event_for_episode(episode);
+            if event != heteromap_chaos::ChaosEvent::Calm {
+                prop_assert_eq!(high.event_for_episode(episode), event);
+            }
+        }
+        let (low, high) = (
+            heteromap_fleet::FleetTrace::heavy(seed, a),
+            heteromap_fleet::FleetTrace::heavy(seed, b),
+        );
+        for device in 0..8 {
+            for episode in 0..32 {
+                let state = low.fault_for(device, episode);
+                if state != heteromap_accel::FaultState::Healthy {
+                    prop_assert_eq!(high.fault_for(device, episode), state);
+                }
+            }
+        }
+    }
+}
+
 // Robustness: the readers must reject, never panic on, arbitrary bytes.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]

@@ -248,3 +248,48 @@ fn transient_failure_draw_is_pinned() {
         );
     }
 }
+
+/// The round loops chain every request's outcome through
+/// `heteromap_model::fold_digest`, so their digests pin the fold, the
+/// hasher and every simulated outcome at once. Values come from the
+/// committed `BENCH_chaos.json` and `BENCH_fleet.json` smoke runs; each
+/// must hold at one thread and on the pool.
+#[test]
+fn round_loop_digests_are_pinned() {
+    use heteromap_chaos::{ChaosPlan, ChaosRunner};
+    use heteromap_fleet::{Cluster, FleetSim, FleetTrace, Placer};
+
+    let chaos = [
+        (0.1, true, 0x455c_fb98_fff6_234f_u64),
+        (0.1, false, 0x5a7c_0610_6192_e848),
+        (0.5, true, 0xcd38_6fd0_8b20_10d5),
+        (0.5, false, 0x6338_10d1_df69_7e37),
+    ];
+    for (intensity, resilient, want) in chaos {
+        let runner = ChaosRunner::new(ChaosPlan::smoke(42, intensity), resilient);
+        for threads in [1, 4] {
+            let got = runner.run(threads).digest;
+            assert_eq!(
+                got, want,
+                "chaos {intensity} resilient={resilient} threads={threads}: got {got:#018x}"
+            );
+        }
+    }
+
+    let fleet = [
+        (Placer::Random, 0xb8de_3044_5489_7efc_u64),
+        (Placer::RoundRobin, 0x9d36_b390_fe93_8268),
+        (Placer::Greedy, 0xad63_1fb0_05ad_60b0),
+        (Placer::Evolution, 0xad63_1fb0_05ad_60b0),
+    ];
+    for (placer, want) in fleet {
+        let sim = FleetSim::new(FleetTrace::smoke(42, 0.2), Cluster::uniform(1), placer);
+        for threads in [1, 4] {
+            let got = sim.run(threads).digest;
+            assert_eq!(
+                got, want,
+                "fleet {placer} threads={threads}: got {got:#018x}"
+            );
+        }
+    }
+}

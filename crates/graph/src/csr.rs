@@ -1,7 +1,7 @@
 //! Compressed sparse row (CSR) graph representation.
 
 use crate::edgelist::EdgeList;
-use crate::stats::GraphStats;
+use crate::stats::{measure_uncached, GraphStats};
 use crate::{GraphError, VertexId};
 use std::sync::{Arc, OnceLock};
 
@@ -30,26 +30,35 @@ pub struct CsrGraph {
     offsets: Vec<usize>,
     targets: Vec<VertexId>,
     weights: Vec<f32>,
+    // Derived state. Both caches are filled at most once and never
+    // invalidated, which is sound only because the three arrays above never
+    // change after construction: `CsrGraph` has no public `&mut self`
+    // method. Any mutator added later must reset both caches.
     /// Lazily computed transpose, shared by reference across kernels
     /// (pull-PageRank gathers and bottom-up BFS both need in-neighbours).
     transpose_cache: OnceLock<Arc<CsrGraph>>,
+    /// Lazily measured structural statistics (the paper's I1–I4 inputs),
+    /// so every job on the same graph pays the diameter sweeps once.
+    stats_cache: OnceLock<GraphStats>,
 }
 
 impl Clone for CsrGraph {
     fn clone(&self) -> Self {
-        // The cache is per-instance; a clone recomputes lazily if needed.
+        // The transpose is per-instance and a clone recomputes it lazily;
+        // the stats are a 32-byte value, so a clone keeps them.
         CsrGraph {
             offsets: self.offsets.clone(),
             targets: self.targets.clone(),
             weights: self.weights.clone(),
             transpose_cache: OnceLock::new(),
+            stats_cache: self.stats_cache.clone(),
         }
     }
 }
 
 impl PartialEq for CsrGraph {
     fn eq(&self, other: &Self) -> bool {
-        // Equality is structural; the transpose cache is derived state.
+        // Equality is structural; both caches are derived state.
         self.offsets == other.offsets
             && self.targets == other.targets
             && self.weights == other.weights
@@ -99,6 +108,7 @@ impl CsrGraph {
             targets: out_targets,
             weights: out_weights,
             transpose_cache: OnceLock::new(),
+            stats_cache: OnceLock::new(),
         };
         g.sort_adjacency();
         Ok(g)
@@ -210,10 +220,12 @@ impl CsrGraph {
         )
     }
 
-    /// Computes full structural statistics (degree distribution, approximate
-    /// diameter); see [`GraphStats::measure`].
+    /// Structural statistics (sizes, maximum degree, approximate diameter),
+    /// computed once per instance on first call and returned from the cache
+    /// afterwards; [`GraphStats::measure`] is the same call. Clones keep the
+    /// cached value.
     pub fn stats(&self) -> GraphStats {
-        GraphStats::measure(self)
+        *self.stats_cache.get_or_init(|| measure_uncached(self))
     }
 
     /// Approximate size in bytes of the CSR arrays, used by the memory model
@@ -314,6 +326,32 @@ mod tests {
         // Clones do not inherit the cache but recompute identically.
         let c = g.clone();
         assert_eq!(*c.transpose_cached(), *a);
+    }
+
+    #[test]
+    fn second_stats_call_returns_the_memo() {
+        let g = diamond();
+        let first = g.stats();
+        assert_eq!(first, measure_uncached(&g));
+        assert_eq!(g.stats(), first);
+    }
+
+    #[test]
+    fn clone_returns_the_same_stats() {
+        let g = diamond();
+        let first = g.stats();
+        assert_eq!(g.clone().stats(), first);
+        // A clone taken before the first measurement measures on its own.
+        assert_eq!(diamond().clone().stats(), first);
+    }
+
+    #[test]
+    fn filled_caches_do_not_affect_equality() {
+        let g = diamond();
+        g.stats();
+        g.transpose_cached();
+        assert_eq!(g, diamond());
+        assert_eq!(diamond(), g);
     }
 
     #[test]

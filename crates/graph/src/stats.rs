@@ -36,7 +36,9 @@ impl GraphStats {
         }
     }
 
-    /// Measures statistics of `graph`.
+    /// Measures statistics of `graph`, once per graph instance: the first
+    /// call on a [`CsrGraph`] runs the sweeps and later calls (and calls on
+    /// its clones) return the cached value; see [`CsrGraph::stats`].
     ///
     /// The diameter is approximated with the classic *double-sweep* heuristic
     /// (BFS from an arbitrary vertex, then BFS from the farthest vertex
@@ -45,18 +47,7 @@ impl GraphStats {
     /// the eccentricity within the largest reachable region is reported, as
     /// the paper's road/social datasets are connected.
     pub fn measure(graph: &CsrGraph) -> Self {
-        let n = graph.vertex_count();
-        let diameter = if n == 0 {
-            0
-        } else {
-            approximate_diameter(graph)
-        };
-        GraphStats {
-            vertices: n as u64,
-            edges: graph.edge_count() as u64,
-            max_degree: graph.max_degree() as u64,
-            diameter,
-        }
+        graph.stats()
     }
 
     /// Average degree `E / V` (0.0 when the graph is empty).
@@ -73,6 +64,22 @@ impl GraphStats {
     /// accelerator's DRAM capacity by the memory model.
     pub fn footprint_bytes(&self) -> u64 {
         self.vertices * 8 + self.edges * 8
+    }
+}
+
+/// The uncached measurement behind [`CsrGraph::stats`].
+pub(crate) fn measure_uncached(graph: &CsrGraph) -> GraphStats {
+    let n = graph.vertex_count();
+    let diameter = if n == 0 {
+        0
+    } else {
+        approximate_diameter(graph)
+    };
+    GraphStats {
+        vertices: n as u64,
+        edges: graph.edge_count() as u64,
+        max_degree: graph.max_degree() as u64,
+        diameter,
     }
 }
 

@@ -293,3 +293,38 @@ fn round_loop_digests_are_pinned() {
         }
     }
 }
+
+/// The dynamic-graph runner folds every epoch's incremental statistics,
+/// diameter sweep, prediction and kernel checksum into its digest, so this
+/// pin also catches drift in the stats/diameter path. Same inputs and
+/// value as `heteromap-dyngraph`'s `digest_is_pinned`; it must hold at one
+/// thread and on the pool.
+#[test]
+fn dyngraph_digest_is_pinned() {
+    use heteromap::HeteroMap;
+    use heteromap_dyngraph::{DeltaBatch, DynGraph, DynRunner, DynRunnerConfig};
+    use heteromap_graph::gen::Densifying;
+
+    let hm = HeteroMap::with_decision_tree();
+    let gen = Densifying::new(250, 5, 350);
+    // The first batch, one calm epoch, the remaining batches, one calm epoch.
+    let mut trace = vec![DeltaBatch::from_edges(&gen.batch(7, 0)), DeltaBatch::new()];
+    trace.extend((1..gen.batches()).map(|i| DeltaBatch::from_edges(&gen.batch(7, i))));
+    trace.push(DeltaBatch::new());
+    for threads in [1, 4] {
+        let mut graph = DynGraph::new(gen.vertices());
+        let cfg = DynRunnerConfig {
+            threads,
+            kernel_iterations: 2,
+            ..Default::default()
+        };
+        let got = DynRunner::new(&hm, Workload::LabelProp)
+            .with_config(cfg)
+            .run(&mut graph, &trace)
+            .digest;
+        assert_eq!(
+            got, 0xa09d_4759_0a6f_43a7,
+            "threads={threads}: got {got:#018x}"
+        );
+    }
+}

@@ -8,7 +8,7 @@ use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_graph::datasets::Dataset;
 use heteromap_model::{MConfig, Workload};
-use heteromap_predict::Autotuner;
+use heteromap_tune::CoarseRefine;
 
 fn bench_cost_model(c: &mut Criterion) {
     let sys = MultiAcceleratorSystem::primary();
@@ -28,7 +28,7 @@ fn bench_cost_model(c: &mut Criterion) {
     group.bench_function("fast_pass", |b| {
         b.iter(|| {
             black_box(
-                Autotuner::fast()
+                CoarseRefine::FAST
                     .tune(|cfg| sys.deploy(&ctx, cfg).time_ms)
                     .cost,
             )

@@ -6,8 +6,7 @@
 use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_bench::{all_combos, geomean, TextTable};
-use heteromap_predict::Autotuner;
-use heteromap_tune::{EnsembleTuner, Strategy, TuneConfig};
+use heteromap_tune::{CoarseRefine, EnsembleTuner, Strategy, TuneConfig};
 
 fn main() {
     heteromap_bench::apply_obs_flags(std::env::args().skip(1));
@@ -21,7 +20,7 @@ fn main() {
     let reference: Vec<f64> = contexts
         .iter()
         .map(|ctx| {
-            Autotuner::exhaustive()
+            CoarseRefine::EXHAUSTIVE
                 .tune(|c| sys.deploy(ctx, c).time_ms)
                 .cost
         })
@@ -39,9 +38,10 @@ fn main() {
         (3, 80),
         (1, 200),
     ] {
-        let tuner = Autotuner::exhaustive()
-            .with_coarse_stride(stride)
-            .with_refine_budget(budget);
+        let tuner = CoarseRefine {
+            coarse_stride: stride,
+            refine_budget: budget,
+        };
         let mut evals = 0usize;
         let gaps: Vec<f64> = contexts
             .iter()

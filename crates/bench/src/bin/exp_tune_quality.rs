@@ -22,11 +22,11 @@ use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_bench::{all_combos, geomean, TextTable};
 use heteromap_model::{Accelerator, MConfig};
-use heteromap_predict::{Autotuner, Trainer};
-use heteromap_tune::{EnsembleTuner, Strategy, TuneConfig};
+use heteromap_predict::Trainer;
+use heteromap_tune::{CoarseRefine, EnsembleTuner, Strategy, TuneConfig};
 use std::time::Instant;
 
-/// Evaluation budgets swept (the legacy `fast()` profile spends ~240).
+/// Evaluation budgets swept (the legacy `CoarseRefine::FAST` preset spends ~240).
 const BUDGETS: [usize; 4] = [60, 120, 240, 480];
 /// Every `COMBO_STRIDE`-th of the 81 workload × dataset combinations.
 const COMBO_STRIDE: usize = 7;
@@ -53,16 +53,17 @@ struct Cell {
 }
 
 /// The legacy tuner reshaped to spend roughly `budget` evaluations, with
-/// the same coarse/refine split ratio as `Autotuner::fast()` (five coarse
+/// the same coarse/refine split ratio as `CoarseRefine::FAST` (five coarse
 /// evaluations per refine step).
-fn legacy_at_budget(budget: usize) -> Autotuner {
+fn legacy_at_budget(budget: usize) -> CoarseRefine {
     let space = heteromap_model::mspace::MSpace::new().enumerate().len();
     let coarse_target = (budget * 5 / 6).max(1);
     let stride = space.div_ceil(coarse_target).max(1);
     let coarse = space.div_ceil(stride);
-    Autotuner::exhaustive()
-        .with_coarse_stride(stride)
-        .with_refine_budget(budget.saturating_sub(coarse))
+    CoarseRefine {
+        coarse_stride: stride,
+        refine_budget: budget.saturating_sub(coarse),
+    }
 }
 
 fn convex_smoke() {
@@ -106,7 +107,7 @@ fn main() {
     let reference: Vec<f64> = contexts
         .iter()
         .map(|ctx| {
-            Autotuner::exhaustive()
+            CoarseRefine::EXHAUSTIVE
                 .tune(|c| sys.deploy(ctx, c).time_ms)
                 .cost
         })

@@ -6,7 +6,8 @@ use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_graph::datasets::{Dataset, LiteratureMaxima};
 use heteromap_model::{Grid, IVector, Workload};
-use heteromap_predict::{Autotuner, DecisionTree, Predictor};
+use heteromap_predict::{DecisionTree, Predictor};
+use heteromap_tune::CoarseRefine;
 
 fn main() {
     println!("Fig. 7: Decision-tree flow for SSSP-BF / SSSP-Delta on USA-Cal\n");
@@ -28,7 +29,7 @@ fn main() {
         let cfg = tree.predict(&b, &i);
         let ctx = WorkloadContext::for_workload(w, Dataset::UsaCal.stats());
         let selected = sys.deploy(&ctx, &cfg);
-        let optimal = Autotuner::exhaustive().tune(|c| sys.deploy(&ctx, c).time_ms);
+        let optimal = CoarseRefine::EXHAUSTIVE.tune(|c| sys.deploy(&ctx, c).time_ms);
         println!("--- {w} ---");
         println!("  B profile: {b}");
         println!("  M1 selects: {}", cfg.accelerator);

@@ -9,7 +9,8 @@ use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_graph::datasets::Dataset;
 use heteromap_model::mspace::MSpace;
 use heteromap_model::{Accelerator, MConfig, Workload};
-use heteromap_predict::{Autotuner, Objective};
+use heteromap_predict::Objective;
+use heteromap_tune::CoarseRefine;
 
 /// Per-combination results of one scheduler comparison.
 #[derive(Debug, Clone)]
@@ -79,7 +80,7 @@ impl SchedulerComparison {
                 };
                 let (gpu_only, gpu_util) = best_over(&gpu_cfgs);
                 let (multicore_only, mc_util) = best_over(&mc_cfgs);
-                let ideal = Autotuner::exhaustive().tune(|c| cost(&ctx, c).0).cost;
+                let ideal = CoarseRefine::EXHAUSTIVE.tune(|c| cost(&ctx, c).0).cost;
                 let placement = hm.schedule(workload, dataset);
                 let heteromap = match objective {
                     Objective::Performance => placement.report.time_ms,

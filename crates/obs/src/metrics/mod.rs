@@ -111,6 +111,7 @@ pub fn global() -> &'static MetricsHub {
 enum Instrument {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
+    PeakGauge(Arc<PeakGauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -119,6 +120,7 @@ impl Instrument {
         match self {
             Instrument::Counter(_) => "counter",
             Instrument::Gauge(_) => "gauge",
+            Instrument::PeakGauge(_) => "peak gauge",
             Instrument::Histogram(_) => "histogram",
         }
     }
@@ -144,8 +146,9 @@ struct HubInner {
     series: BTreeMap<SeriesKey, SeriesEntry>,
 }
 
-/// A label-aware registry of counters, gauges and histograms with windowed
-/// ring aggregation. See the [module docs](self) for the design.
+/// A label-aware registry of counters, gauges, peak gauges and histograms
+/// with windowed ring aggregation. See the [module docs](self) for the
+/// design.
 #[derive(Debug)]
 pub struct MetricsHub {
     /// Nominal window width in milliseconds — metadata only (no clock is
@@ -261,6 +264,27 @@ impl MetricsHub {
         }
     }
 
+    /// Registers (or fetches) a high-watermark gauge series: it keeps the
+    /// largest value observed, is exposed as a Prometheus gauge, and rolls
+    /// like a [`MetricsHub::gauge`].
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`MetricsHub::counter`].
+    pub fn peak_gauge(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        help: &'static str,
+    ) -> Arc<PeakGauge> {
+        match self.register(name, labels, help, || {
+            Instrument::PeakGauge(Arc::new(PeakGauge::new()))
+        }) {
+            Instrument::PeakGauge(g) => g,
+            other => panic!("series {name:?} already registered as {}", other.kind()),
+        }
+    }
+
     /// Registers (or fetches) a histogram series over `bounds`.
     ///
     /// # Panics
@@ -306,6 +330,12 @@ impl MetricsHub {
                     index,
                     count: 1,
                     sum: g.get(),
+                    p99: f64::NAN,
+                },
+                Instrument::PeakGauge(g) => WindowStat {
+                    index,
+                    count: 1,
+                    sum: g.get() as f64,
                     p99: f64::NAN,
                 },
                 Instrument::Histogram(h) => {
@@ -362,6 +392,7 @@ impl MetricsHub {
                 value: match &entry.instrument {
                     Instrument::Counter(c) => SeriesValue::Counter(c.get()),
                     Instrument::Gauge(g) => SeriesValue::Gauge(g.get()),
+                    Instrument::PeakGauge(g) => SeriesValue::Gauge(g.get() as f64),
                     Instrument::Histogram(h) => SeriesValue::Histogram {
                         bounds: h.bounds().to_vec(),
                         buckets: h.bucket_counts(),
@@ -446,6 +477,31 @@ mod tests {
         assert_eq!(lat[1].count, 1);
         assert_eq!(lat[1].p99, 100.0, "next window forgets the fast samples");
         assert_eq!(hub.window_index(), 2);
+    }
+
+    #[test]
+    fn peak_gauges_expose_and_roll_as_gauges() {
+        let hub = MetricsHub::new();
+        let peak = hub.peak_gauge("depth_peak", &[("lane", "0")], "peak depth");
+        peak.observe(4);
+        peak.observe(2);
+        hub.roll();
+        peak.observe(7);
+        hub.roll();
+        let windows = hub.windows("depth_peak", &[("lane", "0")]);
+        assert_eq!((windows[0].count, windows[0].sum), (1, 4.0));
+        assert_eq!(windows[1].sum, 7.0);
+        let text = hub.prometheus_text();
+        assert!(text.contains("# TYPE depth_peak gauge\n"));
+        assert!(text.contains("depth_peak{lane=\"0\"} 7\n"));
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered as peak gauge")]
+    fn peak_gauge_kind_is_checked() {
+        let hub = MetricsHub::new();
+        hub.peak_gauge("depth_peak", &[], "h");
+        hub.gauge("depth_peak", &[], "h");
     }
 
     #[test]

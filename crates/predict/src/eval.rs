@@ -1,13 +1,13 @@
 //! Table IV evaluation machinery: speedup over the GPU baseline, choice
 //! accuracy against the ideal, and measured prediction overhead.
 
-use crate::autotune::Autotuner;
 use crate::predictor::{Objective, Predictor};
 use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_graph::datasets::{Dataset, LiteratureMaxima};
 use heteromap_model::mspace::MSpace;
 use heteromap_model::{Accelerator, Grid, IVector, MConfig, Workload, M_DIM};
+use heteromap_tune::CoarseRefine;
 use std::time::Instant;
 
 /// One Table IV row.
@@ -105,7 +105,7 @@ impl Evaluator {
                     .iter()
                     .map(|c| cost(&ctx, c))
                     .fold(f64::INFINITY, f64::min);
-                let tuned = Autotuner::exhaustive().tune(|c| cost(&ctx, c));
+                let tuned = CoarseRefine::EXHAUSTIVE.tune(|c| cost(&ctx, c));
                 ComboReference {
                     workload,
                     dataset,

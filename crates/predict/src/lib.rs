@@ -1,7 +1,6 @@
 //! HeteroMap's prediction stack: the decision-tree heuristic (§IV), the
 //! automated learners (§V — deep networks, linear/polynomial regression,
-//! adaptive library), the OpenTuner-style offline autotuner, synthetic
-//! training-data generation (Fig. 9 / Table III), the profiler database,
+//! adaptive library), synthetic training-data generation (Fig. 9 / Table III), the profiler database,
 //! and the Table IV evaluation machinery.
 //!
 //! # Example
@@ -28,7 +27,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod adaptive;
-pub mod autotune;
 pub mod decision_tree;
 pub mod eval;
 pub mod knn;
@@ -41,7 +39,6 @@ pub mod synth;
 pub mod trainer;
 
 pub use adaptive::AdaptiveLibrary;
-pub use autotune::Autotuner;
 pub use decision_tree::DecisionTree;
 pub use eval::{Evaluator, LearnerReport};
 pub use knn::KnnPredictor;

@@ -3,24 +3,21 @@
 //! system, and store the optimal `(B, I, M)` tuples in the profiler
 //! database.
 //!
-//! Two generation paths share one deterministic sampling stream:
-//!
-//! * [`Trainer::generate_database`] — the serial path; tunes one sample at
-//!   a time.
-//! * [`Trainer::generate_database_parallel`] — fans the per-sample tuning
-//!   runs over the `heteromap-kernels` pool with [`par_map`], which returns
-//!   them in sample order. The synthetic `(B, I)` stream is drawn serially
-//!   *before* the fan-out, so the produced database is bit-identical to the
-//!   serial path's at any worker count.
+//! One generation body serves both entry points:
+//! [`Trainer::generate_database_parallel`] fans the per-sample tuning runs
+//! over the `heteromap-kernels` pool with [`par_map`], which returns them
+//! in sample order, and [`Trainer::generate_database`] is the same call at
+//! one thread, which `par_map` runs inline in index order. The synthetic
+//! `(B, I)` stream is drawn serially *before* the fan-out, so the produced
+//! database is bit-identical at any worker count.
 //!
 //! Each tuned sample can use either the legacy coarse + hill-climb
-//! [`Autotuner`] or the `heteromap-tune` ensemble (see
+//! [`CoarseRefine`] or the `heteromap-tune` ensemble (see
 //! [`Trainer::with_ensemble`]). Long runs report progress through
 //! [`heteromap_obs::diag`] every [`PROGRESS_INTERVAL`] samples — mirrored
 //! to stderr unless `--quiet` — and the total oracle evaluations spent are
 //! surfaced in the returned set's [`summary`](TrainingSet::summary).
 
-use crate::autotune::Autotuner;
 use crate::predictor::{Objective, TrainingSample, TrainingSet};
 use crate::synth::{SyntheticBenchmark, SyntheticBenchmarks, SyntheticInputs};
 use heteromap_accel::cost::WorkloadContext;
@@ -28,7 +25,7 @@ use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_graph::GraphStats;
 use heteromap_kernels::par::par_map;
 use heteromap_model::{IVector, MConfig};
-use heteromap_tune::{ensemble, EnsembleTuner, TuneConfig};
+use heteromap_tune::{ensemble, CoarseRefine, EnsembleTuner, TuneConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,7 +37,7 @@ pub const PROGRESS_INTERVAL: usize = 16;
 #[derive(Debug, Clone)]
 enum SampleTuner {
     /// The legacy coarse + hill-climb autotuner.
-    Legacy(Autotuner),
+    Legacy(CoarseRefine),
     /// The `heteromap-tune` ensemble; each sample derives its own run seed
     /// from the config's seed and the sample index.
     Ensemble(TuneConfig),
@@ -60,7 +57,7 @@ impl Trainer {
         Trainer {
             system,
             objective: Objective::Performance,
-            tuner: SampleTuner::Legacy(Autotuner::fast()),
+            tuner: SampleTuner::Legacy(CoarseRefine::FAST),
         }
     }
 
@@ -70,9 +67,9 @@ impl Trainer {
         self
     }
 
-    /// Replaces the autotuner (e.g. [`Autotuner::exhaustive`] for slower,
-    /// closer-to-optimal databases).
-    pub fn with_tuner(mut self, tuner: Autotuner) -> Self {
+    /// Replaces the autotuner (e.g. [`CoarseRefine::EXHAUSTIVE`] for
+    /// slower, closer-to-optimal databases).
+    pub fn with_tuner(mut self, tuner: CoarseRefine) -> Self {
         self.tuner = SampleTuner::Legacy(tuner);
         self
     }
@@ -126,9 +123,8 @@ impl Trainer {
         }
     }
 
-    /// Draws the synthetic `(B, I)` stream for a run. Serial and parallel
-    /// generation share this, which is what makes their databases
-    /// identical.
+    /// Draws the synthetic `(B, I)` stream for a run, serially and before
+    /// any fan-out, so the stream does not depend on the worker count.
     fn draw_inputs(
         &self,
         samples: usize,
@@ -146,41 +142,11 @@ impl Trainer {
             .collect()
     }
 
-    fn progress(done: usize, total: usize, evaluations: u64) {
-        if done.is_multiple_of(PROGRESS_INTERVAL) || done == total {
-            heteromap_obs::diag("trainer.progress", || {
-                format!("tuned {done}/{total} samples ({evaluations} oracle evaluations)")
-            });
-        }
-    }
-
     /// Generates a profiler database of `samples` autotuned synthetic
     /// combinations ("only one M combination tuple is selected, which
-    /// provides the best performance").
+    /// provides the best performance"), one sample at a time.
     pub fn generate_database(&self, samples: usize, seed: u64) -> TrainingSet {
-        let _span = heteromap_obs::span_cat("trainer.generate", "tune");
-        let mut set = TrainingSet::new();
-        for (index, (bench, stats, i)) in self.draw_inputs(samples, seed).into_iter().enumerate() {
-            let ctx = WorkloadContext::synthetic(
-                bench.b,
-                stats,
-                bench.iteration_model,
-                bench.work_per_edge,
-            );
-            let (optimal, optimal_cost, evaluations) = self.tune_sample(&ctx, index);
-            set.push(TrainingSample {
-                b: bench.b,
-                i,
-                stats,
-                iteration_model: bench.iteration_model,
-                work_per_edge: bench.work_per_edge,
-                optimal,
-                optimal_cost,
-            });
-            set.add_tuning_evaluations(evaluations as u64);
-            Self::progress(index + 1, samples, set.tuning_evaluations());
-        }
-        set
+        self.generate_database_parallel(samples, seed, 1)
     }
 
     /// Generates the same database as [`Trainer::generate_database`] —
@@ -194,7 +160,7 @@ impl Trainer {
         seed: u64,
         threads: usize,
     ) -> TrainingSet {
-        let _span = heteromap_obs::span_cat("trainer.generate_parallel", "tune");
+        let _span = heteromap_obs::span_cat("trainer.generate", "tune");
         let inputs = self.draw_inputs(samples, seed);
         let contexts: Vec<WorkloadContext> = inputs
             .iter()

@@ -31,7 +31,7 @@ use heteromap_graph::datasets::Dataset;
 use heteromap_graph::{CsrGraph, GraphStats};
 use heteromap_kernels::par::{par_map, run_threads};
 use heteromap_model::{BVector, IVector, MConfig, Workload};
-use heteromap_obs::metrics::{SeriesSnapshot, SeriesValue};
+use heteromap_obs::metrics::SeriesSnapshot;
 use heteromap_predict::Predictor;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -219,31 +219,46 @@ struct BatchItem {
 /// choice is independent of cache-shard choice) and each sits on its own
 /// cache line.
 ///
-/// The occupancy metrics are pre-registered plain atomics (no allocation,
-/// no hub lookup) so the warm request path stays allocation-free; they are
-/// folded into the exposition by [`ServeEngine::lane_series`].
+/// The occupancy metrics are registered once, at construction, on the
+/// engine's metrics hub under `lane="<index>"`; the lane keeps the handles,
+/// so the warm request path records without allocation or hub lookup.
 #[derive(Debug)]
 struct Lane {
     inflight: Mutex<HashMap<PredKey, Arc<Slot>, IdentityState>>,
     queue: SlotRing<BatchItem>,
     leader: Mutex<()>,
     /// Drains led on this lane.
-    drains: Counter,
+    drains: Arc<Counter>,
     /// Items resolved by this lane's drains.
-    drained_items: Counter,
+    drained_items: Arc<Counter>,
     /// Peak ring occupancy observed at enqueue time.
-    occupancy_peak: PeakGauge,
+    occupancy_peak: Arc<PeakGauge>,
 }
 
 impl Lane {
-    fn new(queue_capacity: usize) -> Self {
+    fn new(queue_capacity: usize, metrics: &MetricsRegistry, index: usize) -> Self {
+        let hub = metrics.hub();
+        let index = index.to_string();
+        let labels = [("lane", index.as_str())];
         Lane {
             inflight: Mutex::new(HashMap::default()),
             queue: SlotRing::new(queue_capacity),
             leader: Mutex::new(()),
-            drains: Counter::new(),
-            drained_items: Counter::new(),
-            occupancy_peak: PeakGauge::new(),
+            drains: hub.counter(
+                "serve_lane_drains_total",
+                &labels,
+                "Batch drains led per lane",
+            ),
+            drained_items: hub.counter(
+                "serve_lane_drained_items_total",
+                &labels,
+                "Requests resolved by per-lane drains",
+            ),
+            occupancy_peak: hub.peak_gauge(
+                "serve_lane_occupancy_peak",
+                &labels,
+                "Peak submission-ring occupancy per lane",
+            ),
         }
     }
 }
@@ -295,13 +310,14 @@ impl ServeEngine {
         // Each lane's ring holds several max batches so producers only hit
         // the full-ring fallback under extreme skew.
         let queue_capacity = config.max_batch.max(1).saturating_mul(4).max(64);
+        let metrics = Arc::new(MetricsRegistry::new());
         ServeEngine {
             model: RwLock::new(model),
             cache: ShardedCache::new(config.shards, config.capacity),
             lanes: (0..config.lanes.max(1))
-                .map(|_| CacheAligned::new(Lane::new(queue_capacity)))
+                .map(|i| CacheAligned::new(Lane::new(queue_capacity, &metrics, i)))
                 .collect(),
-            metrics: Arc::new(MetricsRegistry::new()),
+            metrics,
             config,
         }
     }
@@ -319,38 +335,15 @@ impl ServeEngine {
     /// Per-lane occupancy series: drains led, items drained and peak ring
     /// occupancy for each batch-assembly lane, labeled `lane="<index>"`.
     pub fn lane_series(&self) -> Vec<SeriesSnapshot> {
-        let mut out = Vec::with_capacity(self.lanes.len() * 3);
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let labels = vec![("lane".to_string(), i.to_string())];
-            out.push(SeriesSnapshot {
-                name: "serve_lane_drains_total".to_string(),
-                labels: labels.clone(),
-                help: "Batch drains led per lane".to_string(),
-                value: SeriesValue::Counter(lane.drains.get()),
-            });
-            out.push(SeriesSnapshot {
-                name: "serve_lane_drained_items_total".to_string(),
-                labels: labels.clone(),
-                help: "Requests resolved by per-lane drains".to_string(),
-                value: SeriesValue::Counter(lane.drained_items.get()),
-            });
-            out.push(SeriesSnapshot {
-                name: "serve_lane_occupancy_peak".to_string(),
-                labels,
-                help: "Peak submission-ring occupancy per lane".to_string(),
-                value: SeriesValue::Gauge(lane.occupancy_peak.get() as f64),
-            });
-        }
-        out
+        let mut series = self.metrics.series();
+        series.retain(|s| s.name.starts_with("serve_lane_"));
+        series
     }
 
-    /// Renders the registry plus the per-lane occupancy series in the
+    /// Renders the registry, per-lane occupancy series included, in the
     /// Prometheus text exposition format.
     pub fn prometheus_text(&self) -> String {
-        let mut series = self.metrics.series();
-        series.extend(self.lane_series());
-        series.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        heteromap_obs::metrics::prometheus_text(&series)
+        self.metrics.prometheus_text()
     }
 
     /// Cached predictions currently held.

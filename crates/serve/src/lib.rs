@@ -17,7 +17,8 @@
 //!   [`ServeConfig::hit_overhead_ms`] (zero by default);
 //! * [`metrics`] — an atomic [`MetricsRegistry`] (cache hit/miss counters,
 //!   batch-size and latency histograms with p50/p95/p99, per-accelerator
-//!   placement counts) snapshotable as JSON;
+//!   placement counts) registered on a private `MetricsHub`, snapshotable
+//!   as JSON and as Prometheus text;
 //! * [`instrument`] — [`MeteredRunner`], which feeds host kernel latencies
 //!   into the same registry;
 //! * [`admission`] — [`AdmissionController`], the resilience front-end: a

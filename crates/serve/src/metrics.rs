@@ -7,18 +7,27 @@
 //! batcher (batch sizes, queue depth, single-flight waits), scheduling
 //! outcomes (per-accelerator placement counts, failures) and latency
 //! distributions (schedule and kernel p50/p95/p99).
-//! [`MetricsRegistry::snapshot`] freezes everything into a
-//! [`MetricsSnapshot`] that renders as JSON with no external dependencies,
-//! and [`MetricsRegistry::series`] re-expresses the same state as
-//! label-aware series for the shared Prometheus text exposition.
+//!
+//! Every field is an `Arc` handle registered once on the registry's own
+//! private [`MetricsHub`], which is where each series' Prometheus name,
+//! labels and help live. [`MetricsRegistry::series`] is that hub's
+//! snapshot, and [`MetricsRegistry::snapshot`] freezes the typed fields
+//! into a [`MetricsSnapshot`] that renders as JSON with no external
+//! dependencies. The hub is per registry, never the process-wide one, so
+//! per-engine counts stay exact and are not gated on `HETEROMAP_METRICS`.
 
 use heteromap::Placement;
 use heteromap_model::Accelerator;
-use heteromap_obs::metrics::{prometheus_text, SeriesSnapshot, SeriesValue};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use heteromap_obs::metrics::{
+    MetricsHub, SeriesSnapshot, SeriesValue, BATCH_BOUNDS, LATENCY_BOUNDS_MS,
+};
+use std::sync::Arc;
 
 pub use heteromap_obs::metrics::{Counter, Histogram, PeakGauge};
+
+/// Series name of the ad-hoc counters [`MetricsRegistry::counter`]
+/// registers, labeled `name="<slug>"`.
+const EXTRA_SERIES: &str = "serve_extra_total";
 
 /// The serving engine's metrics registry.
 ///
@@ -28,57 +37,57 @@ pub use heteromap_obs::metrics::{Counter, Histogram, PeakGauge};
 #[derive(Debug)]
 pub struct MetricsRegistry {
     /// Cache lookups that returned a stored prediction.
-    pub cache_hits: Counter,
+    pub cache_hits: Arc<Counter>,
     /// Cache lookups that fell through to inference.
-    pub cache_misses: Counter,
+    pub cache_misses: Arc<Counter>,
     /// LRU evictions performed by inserts.
-    pub cache_evictions: Counter,
+    pub cache_evictions: Arc<Counter>,
     /// Explicit invalidations (fault-plan or predictor changes).
-    pub cache_invalidations: Counter,
+    pub cache_invalidations: Arc<Counter>,
     /// Requests that waited on another request's identical in-flight key.
-    pub single_flight_waits: Counter,
+    pub single_flight_waits: Arc<Counter>,
     /// Batched inference passes executed.
-    pub batches: Counter,
+    pub batches: Arc<Counter>,
     /// Requests served by batched passes.
-    pub batched_requests: Counter,
+    pub batched_requests: Arc<Counter>,
     /// Peak submission-queue depth: the most misses ever waiting on one
     /// assembly lane, counting a miss resolved inline on an idle lane as a
     /// queue of one.
-    pub queue_depth_peak: PeakGauge,
+    pub queue_depth_peak: Arc<PeakGauge>,
     /// Placements routed to the GPU.
-    pub gpu_placements: Counter,
+    pub gpu_placements: Arc<Counter>,
     /// Placements routed to the multicore.
-    pub multicore_placements: Counter,
+    pub multicore_placements: Arc<Counter>,
     /// Placements that exhausted every accelerator.
-    pub failed_placements: Counter,
+    pub failed_placements: Arc<Counter>,
     /// Chunks scheduled through the streaming path.
-    pub stream_chunks: Counter,
+    pub stream_chunks: Arc<Counter>,
     /// OOM re-streams performed by the streaming path.
-    pub stream_restreams: Counter,
+    pub stream_restreams: Arc<Counter>,
     /// Requests admitted by the admission controller.
-    pub admitted: Counter,
+    pub admitted: Arc<Counter>,
     /// Requests rejected for overload (in-flight budget full, no cached
     /// prediction to shed onto).
-    pub rejected_overload: Counter,
+    pub rejected_overload: Arc<Counter>,
     /// Requests rejected because every accelerator's breaker was open or
     /// every deploy leg failed.
-    pub rejected_unhealthy: Counter,
+    pub rejected_unhealthy: Arc<Counter>,
     /// Requests that could not complete within their deadline.
-    pub deadline_misses: Counter,
+    pub deadline_misses: Arc<Counter>,
     /// Overloaded requests served a stale cached prediction instead of
     /// being dropped.
-    pub stale_served: Counter,
+    pub stale_served: Arc<Counter>,
     /// Circuit-breaker trips (Closed/Half-open → Open).
-    pub breaker_opens: Counter,
+    pub breaker_opens: Arc<Counter>,
     /// Circuit-breaker recoveries (Half-open → Closed).
-    pub breaker_closes: Counter,
+    pub breaker_closes: Arc<Counter>,
     /// End-to-end serve latency per request (ms).
-    pub schedule_latency: Histogram,
+    pub schedule_latency: Arc<Histogram>,
     /// Host kernel-execution latency (ms), fed by `MeteredRunner`.
-    pub kernel_latency: Histogram,
+    pub kernel_latency: Arc<Histogram>,
     /// Distribution of batched-inference batch sizes.
-    pub batch_sizes: Histogram,
-    extra: Mutex<BTreeMap<String, Arc<Counter>>>,
+    pub batch_sizes: Arc<Histogram>,
+    hub: MetricsHub,
 }
 
 impl Default for MetricsRegistry {
@@ -88,37 +97,100 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry.
+    /// Creates an empty registry, registering every typed field on a fresh
+    /// private hub.
     pub fn new() -> Self {
+        let hub = MetricsHub::new();
+        let counter = |name, help| hub.counter(name, &[], help);
+        let placements = |accelerator| {
+            hub.counter(
+                "serve_placements_total",
+                &[("accelerator", accelerator)],
+                "Placements routed per accelerator",
+            )
+        };
+        let latency = |name, help| hub.histogram(name, &[], help, &LATENCY_BOUNDS_MS);
         MetricsRegistry {
-            cache_hits: Counter::new(),
-            cache_misses: Counter::new(),
-            cache_evictions: Counter::new(),
-            cache_invalidations: Counter::new(),
-            single_flight_waits: Counter::new(),
-            batches: Counter::new(),
-            batched_requests: Counter::new(),
-            queue_depth_peak: PeakGauge::new(),
-            gpu_placements: Counter::new(),
-            multicore_placements: Counter::new(),
-            failed_placements: Counter::new(),
-            stream_chunks: Counter::new(),
-            stream_restreams: Counter::new(),
-            admitted: Counter::new(),
-            rejected_overload: Counter::new(),
-            rejected_unhealthy: Counter::new(),
-            deadline_misses: Counter::new(),
-            stale_served: Counter::new(),
-            breaker_opens: Counter::new(),
-            breaker_closes: Counter::new(),
-            schedule_latency: Histogram::latency_ms(),
-            kernel_latency: Histogram::latency_ms(),
-            batch_sizes: Histogram::batch_sizes(),
-            extra: Mutex::new(BTreeMap::new()),
+            cache_hits: counter("serve_cache_hits_total", "Cache hits"),
+            cache_misses: counter("serve_cache_misses_total", "Cache misses"),
+            cache_evictions: counter("serve_cache_evictions_total", "LRU evictions"),
+            cache_invalidations: counter(
+                "serve_cache_invalidations_total",
+                "Explicit cache invalidations",
+            ),
+            single_flight_waits: counter(
+                "serve_single_flight_waits_total",
+                "Duplicate requests that waited on an in-flight key",
+            ),
+            batches: counter("serve_batches_total", "Batched inference passes"),
+            batched_requests: counter(
+                "serve_batched_requests_total",
+                "Requests served through batches",
+            ),
+            queue_depth_peak: hub.peak_gauge(
+                "serve_queue_depth_peak",
+                &[],
+                "Peak submission-queue depth",
+            ),
+            gpu_placements: placements("gpu"),
+            multicore_placements: placements("multicore"),
+            failed_placements: counter(
+                "serve_failed_placements_total",
+                "Placements that exhausted every accelerator",
+            ),
+            stream_chunks: counter(
+                "serve_stream_chunks_total",
+                "Chunks scheduled through the streaming path",
+            ),
+            stream_restreams: counter("serve_stream_restreams_total", "OOM re-streams"),
+            admitted: counter(
+                "serve_admitted_total",
+                "Requests admitted by the admission controller",
+            ),
+            rejected_overload: counter(
+                "serve_rejected_overload_total",
+                "Requests rejected for overload",
+            ),
+            rejected_unhealthy: counter(
+                "serve_rejected_unhealthy_total",
+                "Requests rejected with every accelerator unhealthy",
+            ),
+            deadline_misses: counter(
+                "serve_deadline_misses_total",
+                "Requests that missed their deadline",
+            ),
+            stale_served: counter(
+                "serve_stale_served_total",
+                "Overloaded requests shed onto stale cached predictions",
+            ),
+            breaker_opens: counter("serve_breaker_opens_total", "Circuit-breaker trips"),
+            breaker_closes: counter("serve_breaker_closes_total", "Circuit-breaker recoveries"),
+            schedule_latency: latency(
+                "serve_schedule_latency_ms",
+                "End-to-end serve latency per request (ms)",
+            ),
+            kernel_latency: latency(
+                "serve_kernel_latency_ms",
+                "Host kernel-execution latency (ms)",
+            ),
+            batch_sizes: hub.histogram(
+                "serve_batch_size",
+                &[],
+                "Batched-inference batch sizes",
+                &BATCH_BOUNDS,
+            ),
+            hub,
         }
     }
 
-    /// Registers (or fetches) a named counter. Names are sanitized to
+    /// The registry's private hub, for series registered outside the typed
+    /// fields (the engine's per-lane occupancy).
+    pub(crate) fn hub(&self) -> &MetricsHub {
+        &self.hub
+    }
+
+    /// Registers (or fetches) a named counter, exposed as
+    /// `serve_extra_total{name="<slug>"}`. Names are sanitized to
     /// `[a-z0-9_]` so they embed cleanly in the JSON snapshot.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let slug: String = name
@@ -131,12 +203,11 @@ impl MetricsRegistry {
                 }
             })
             .collect();
-        self.extra
-            .lock()
-            .expect("metrics registry poisoned")
-            .entry(slug)
-            .or_default()
-            .clone()
+        self.hub.counter(
+            EXTRA_SERIES,
+            &[("name", &slug)],
+            "Ad-hoc registered counters",
+        )
     }
 
     /// Records the outcome of one placement (accelerator routing and
@@ -194,166 +265,26 @@ impl MetricsRegistry {
             kernel_p50_ms: self.kernel_latency.quantile(0.50),
             kernel_p99_ms: self.kernel_latency.quantile(0.99),
             extra: self
-                .extra
-                .lock()
-                .expect("metrics registry poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
+                .series()
+                .into_iter()
+                .filter(|s| s.name == EXTRA_SERIES)
+                .filter_map(|s| match (s.labels.into_iter().next(), s.value) {
+                    (Some((_, slug)), SeriesValue::Counter(v)) => Some((slug, v)),
+                    _ => None,
+                })
                 .collect(),
         }
     }
 
-    /// Re-expresses the registry as label-aware series (sorted by name,
-    /// then labels) for the shared exposition pipeline.
+    /// Every registered series (sorted by name, then labels) for the shared
+    /// exposition pipeline: the private hub's snapshot.
     pub fn series(&self) -> Vec<SeriesSnapshot> {
-        let counter = |name: &str, help: &str, c: &Counter| SeriesSnapshot {
-            name: name.to_string(),
-            labels: Vec::new(),
-            help: help.to_string(),
-            value: SeriesValue::Counter(c.get()),
-        };
-        let histogram = |name: &str, help: &str, h: &Histogram| SeriesSnapshot {
-            name: name.to_string(),
-            labels: Vec::new(),
-            help: help.to_string(),
-            value: SeriesValue::Histogram {
-                bounds: h.bounds().to_vec(),
-                buckets: h.bucket_counts(),
-                sum: h.sum(),
-                count: h.count(),
-            },
-        };
-        let mut out = vec![
-            counter("serve_cache_hits_total", "Cache hits", &self.cache_hits),
-            counter(
-                "serve_cache_misses_total",
-                "Cache misses",
-                &self.cache_misses,
-            ),
-            counter(
-                "serve_cache_evictions_total",
-                "LRU evictions",
-                &self.cache_evictions,
-            ),
-            counter(
-                "serve_cache_invalidations_total",
-                "Explicit cache invalidations",
-                &self.cache_invalidations,
-            ),
-            counter(
-                "serve_single_flight_waits_total",
-                "Duplicate requests that waited on an in-flight key",
-                &self.single_flight_waits,
-            ),
-            counter(
-                "serve_batches_total",
-                "Batched inference passes",
-                &self.batches,
-            ),
-            counter(
-                "serve_batched_requests_total",
-                "Requests served through batches",
-                &self.batched_requests,
-            ),
-            counter(
-                "serve_stream_chunks_total",
-                "Chunks scheduled through the streaming path",
-                &self.stream_chunks,
-            ),
-            counter(
-                "serve_stream_restreams_total",
-                "OOM re-streams",
-                &self.stream_restreams,
-            ),
-            counter(
-                "serve_admitted_total",
-                "Requests admitted by the admission controller",
-                &self.admitted,
-            ),
-            counter(
-                "serve_rejected_overload_total",
-                "Requests rejected for overload",
-                &self.rejected_overload,
-            ),
-            counter(
-                "serve_rejected_unhealthy_total",
-                "Requests rejected with every accelerator unhealthy",
-                &self.rejected_unhealthy,
-            ),
-            counter(
-                "serve_deadline_misses_total",
-                "Requests that missed their deadline",
-                &self.deadline_misses,
-            ),
-            counter(
-                "serve_stale_served_total",
-                "Overloaded requests shed onto stale cached predictions",
-                &self.stale_served,
-            ),
-            counter(
-                "serve_breaker_opens_total",
-                "Circuit-breaker trips",
-                &self.breaker_opens,
-            ),
-            counter(
-                "serve_breaker_closes_total",
-                "Circuit-breaker recoveries",
-                &self.breaker_closes,
-            ),
-            counter(
-                "serve_failed_placements_total",
-                "Placements that exhausted every accelerator",
-                &self.failed_placements,
-            ),
-            SeriesSnapshot {
-                name: "serve_queue_depth_peak".to_string(),
-                labels: Vec::new(),
-                help: "Peak submission-queue depth".to_string(),
-                value: SeriesValue::Gauge(self.queue_depth_peak.get() as f64),
-            },
-            histogram(
-                "serve_schedule_latency_ms",
-                "End-to-end serve latency per request (ms)",
-                &self.schedule_latency,
-            ),
-            histogram(
-                "serve_kernel_latency_ms",
-                "Host kernel-execution latency (ms)",
-                &self.kernel_latency,
-            ),
-            histogram(
-                "serve_batch_size",
-                "Batched-inference batch sizes",
-                &self.batch_sizes,
-            ),
-        ];
-        for accel in ["gpu", "multicore"] {
-            let c = match accel {
-                "gpu" => &self.gpu_placements,
-                _ => &self.multicore_placements,
-            };
-            out.push(SeriesSnapshot {
-                name: "serve_placements_total".to_string(),
-                labels: vec![("accelerator".to_string(), accel.to_string())],
-                help: "Placements routed per accelerator".to_string(),
-                value: SeriesValue::Counter(c.get()),
-            });
-        }
-        for (slug, c) in self.extra.lock().expect("metrics registry poisoned").iter() {
-            out.push(SeriesSnapshot {
-                name: "serve_extra_total".to_string(),
-                labels: vec![("name".to_string(), slug.clone())],
-                help: "Ad-hoc registered counters".to_string(),
-                value: SeriesValue::Counter(c.get()),
-            });
-        }
-        out.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        out
+        self.hub.snapshot()
     }
 
     /// Renders every metric in the Prometheus text exposition format.
     pub fn prometheus_text(&self) -> String {
-        prometheus_text(&self.series())
+        self.hub.prometheus_text()
     }
 }
 

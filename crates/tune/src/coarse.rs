@@ -1,7 +1,7 @@
 //! The legacy coarse-sweep + hill-climb tuner, kept as a strategy of the
-//! subsystem so the `heteromap-predict` [`Autotuner`] shim (and through it
-//! the "ideal" exhaustive baselines of the figure reproductions) preserves
-//! its exact search semantics.
+//! subsystem with its exact search semantics: [`CoarseRefine::EXHAUSTIVE`]
+//! produces the "ideal" baselines of the figure reproductions and
+//! [`CoarseRefine::FAST`] tunes each training-database sample.
 //!
 //! One behavioural fix over the seed implementation: a visited-set memo.
 //! The old refine loop re-evaluated already-measured configurations — after
@@ -13,8 +13,6 @@
 //! already known and was never strictly below the incumbent best, so the
 //! replayed step is exactly the no-op the seed performed, minus the
 //! measurement.
-//!
-//! [`Autotuner`]: https://docs.rs/heteromap-predict
 
 use crate::visited::config_key;
 use heteromap_model::mspace::MSpace;
@@ -33,7 +31,7 @@ pub struct CoarseOutcome {
 }
 
 /// The coarse enumeration + hill-climb refinement strategy (the seed's
-/// `Autotuner` algorithm, with the duplicate-evaluation memo).
+/// autotuner algorithm, with the duplicate-evaluation memo).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoarseRefine {
     /// Stride over the coarse enumeration (1 = full sweep).
@@ -43,6 +41,20 @@ pub struct CoarseRefine {
 }
 
 impl CoarseRefine {
+    /// Full-fidelity preset: complete coarse enumeration + 200 refinement
+    /// evaluations (the "ideal" baseline).
+    pub const EXHAUSTIVE: CoarseRefine = CoarseRefine {
+        coarse_stride: 1,
+        refine_budget: 200,
+    };
+
+    /// Bulk training-database preset: strided coarse pass + a short
+    /// refinement.
+    pub const FAST: CoarseRefine = CoarseRefine {
+        coarse_stride: 7,
+        refine_budget: 40,
+    };
+
     /// Finds a near-optimal configuration for `oracle` (lower is better).
     ///
     /// # Panics
@@ -120,25 +132,43 @@ mod tests {
 
     #[test]
     fn finds_the_convex_optimum() {
-        let r = CoarseRefine {
-            coarse_stride: 1,
-            refine_budget: 200,
-        }
-        .tune(convex_oracle);
+        let r = CoarseRefine::EXHAUSTIVE.tune(convex_oracle);
         assert_eq!(r.config.accelerator, Accelerator::Gpu);
         assert!((r.config.global_threads - 0.7).abs() <= 0.051);
         assert!((r.config.local_threads - 0.3).abs() <= 0.051);
     }
 
     #[test]
+    fn refinement_improves_on_coarse_grid() {
+        // Refinement starts from the coarse grid's best and only accepts
+        // strict improvements, so it can never end above it.
+        let coarse_only = CoarseRefine {
+            refine_budget: 0,
+            ..CoarseRefine::EXHAUSTIVE
+        }
+        .tune(convex_oracle);
+        let refined = CoarseRefine::EXHAUSTIVE.tune(convex_oracle);
+        assert!(refined.cost <= coarse_only.cost);
+    }
+
+    #[test]
+    fn fast_preset_spends_fewer_evaluations() {
+        let fast = CoarseRefine::FAST.tune(convex_oracle);
+        let full = CoarseRefine::EXHAUSTIVE.tune(convex_oracle);
+        assert!(fast.evaluations < full.evaluations);
+    }
+
+    #[test]
+    fn cost_matches_oracle_at_result() {
+        let r = CoarseRefine::FAST.tune(convex_oracle);
+        assert!((convex_oracle(&r.config) - r.cost).abs() < 1e-12);
+    }
+
+    #[test]
     fn never_evaluates_a_configuration_twice() {
         let mut seen: HashSet<[u64; heteromap_model::M_DIM]> = HashSet::new();
         let mut calls = 0usize;
-        let r = CoarseRefine {
-            coarse_stride: 1,
-            refine_budget: 200,
-        }
-        .tune(|cfg| {
+        let r = CoarseRefine::EXHAUSTIVE.tune(|cfg| {
             calls += 1;
             assert!(
                 seen.insert(config_key(cfg)),

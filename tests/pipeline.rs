@@ -4,9 +4,10 @@
 use heteromap::HeteroMap;
 use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_graph::datasets::Dataset;
-use heteromap_model::{Accelerator, Workload};
+use heteromap_model::{fold_digest, Accelerator, Workload};
 use heteromap_predict::nn::TrainConfig;
-use heteromap_predict::{NeuralPredictor, Objective, Trainer};
+use heteromap_predict::persist::{write_database, write_model};
+use heteromap_predict::{NeuralPredictor, Objective, PersistedModel, Trainer};
 
 #[test]
 fn offline_training_to_online_evaluation() {
@@ -182,4 +183,55 @@ fn decision_tree_and_deep_agree_on_extreme_combinations() {
         let b = deep.schedule(w, d).accelerator();
         assert_eq!(a, b, "{w}/{d}: tree {a} vs deep {b}");
     }
+}
+
+/// Folds a byte stream (length first, then little-endian 8-byte words, the
+/// last one zero-padded) through `fold_digest`.
+fn bytes_digest(bytes: &[u8]) -> u64 {
+    let mut parts = vec![bytes.len() as u64];
+    parts.extend(bytes.chunks(8).map(|chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        u64::from_le_bytes(word)
+    }));
+    fold_digest(0, &parts)
+}
+
+#[test]
+fn training_database_and_deep16_model_are_pinned() {
+    // The serving benchmark's database: every tuned optimum, and through
+    // them every trained weight, must stay bit-identical.
+    let trainer = Trainer::new(MultiAcceleratorSystem::primary());
+    let db = trainer.generate_database(64, 0x4D0D_E128);
+    let mut db_bytes = Vec::new();
+    write_database(&db, &mut db_bytes).unwrap();
+    let mut parallel_bytes = Vec::new();
+    write_database(
+        &trainer.generate_database_parallel(64, 0x4D0D_E128, 4),
+        &mut parallel_bytes,
+    )
+    .unwrap();
+    assert!(parallel_bytes == db_bytes, "4-thread database diverged");
+    let db_digest = bytes_digest(&db_bytes);
+
+    let nn = NeuralPredictor::train(
+        &db,
+        TrainConfig {
+            hidden: 16,
+            epochs: 250,
+            seed: 0x4D0D_E128,
+            ..TrainConfig::default()
+        },
+    );
+    let mut model_bytes = Vec::new();
+    write_model(&PersistedModel::Nn(nn), &mut model_bytes).unwrap();
+    let model_digest = bytes_digest(&model_bytes);
+    assert_eq!(
+        db_digest, 0xb7e4_2884_33ae_9c8e,
+        "database digest {db_digest:#018x}"
+    );
+    assert_eq!(
+        model_digest, 0xa48a_8536_7c61_620f,
+        "Deep.16 model digest {model_digest:#018x}"
+    );
 }

@@ -1,9 +1,8 @@
 //! Pull-based PageRank — FP-heavy vertex division with a convergence
 //! reduction (B1 + B5 + B6 in Fig. 5).
 
-use crate::par::{atomic_add_f64, par_chunks_mut, par_ranges};
+use crate::par::par_chunks_mut;
 use heteromap_graph::{CsrGraph, VertexId};
-use std::sync::atomic::AtomicU64;
 
 /// Damping factor used by all PageRank kernels (the standard 0.85).
 pub const DAMPING: f64 = 0.85;
@@ -13,26 +12,40 @@ pub const DAMPING: f64 = 0.85;
 ///
 /// Pull formulation: each vertex gathers `rank[u] / out_deg(u)` over its
 /// in-neighbours — read-only sharing (B9), no atomics in the inner loop.
-/// Dangling-vertex mass is redistributed uniformly via a parallel reduction.
-/// The in-neighbour view comes from the graph's cached transpose, so
-/// repeated PageRank calls on one graph pay the `O(V + E)` transpose once.
+/// Each round first computes every source's contribution `rank[u] /
+/// out_deg(u)` once, in the same parallel pass that sums dangling-vertex
+/// mass per chunk; the chunk sums fold in chunk order, so the result is
+/// bit-identical on every run at a fixed thread count. The in-neighbour
+/// view comes from the graph's cached transpose, so repeated PageRank
+/// calls on one graph pay the `O(V + E)` transpose once.
 pub fn pagerank(graph: &CsrGraph, iterations: u32, threads: usize) -> Vec<f64> {
     let n = graph.vertex_count();
     if n == 0 {
         return Vec::new();
     }
     let transpose = graph.transpose_cached();
-    let out_deg: Vec<usize> = (0..n).map(|v| graph.out_degree(v as VertexId)).collect();
+    let out_deg: Vec<u32> = (0..n)
+        .map(|v| graph.out_degree(v as VertexId) as u32)
+        .collect();
     let mut rank = vec![1.0 / n as f64; n];
     let mut next = vec![0.0f64; n];
+    let mut contrib = vec![0.0f64; n];
     for _ in 0..iterations {
-        // Reduction: dangling mass (B5 phase).
-        let dangling_bits = AtomicU64::new(0.0f64.to_bits());
-        par_ranges(n, threads, |range| {
-            let local: f64 = range.filter(|&v| out_deg[v] == 0).map(|v| rank[v]).sum();
-            atomic_add_f64(&dangling_bits, local);
+        // Per-source pass: contributions, and the dangling-mass reduction
+        // (B5 phase). A dangling vertex has no out-edges, so its
+        // contribution is never gathered.
+        let dangling_parts = par_chunks_mut(&mut contrib, threads, |offset, chunk| {
+            let mut dangling = 0.0;
+            for (off, c) in chunk.iter_mut().enumerate() {
+                let u = offset + off;
+                match out_deg[u] {
+                    0 => dangling += rank[u],
+                    deg => *c = rank[u] / deg as f64,
+                }
+            }
+            dangling
         });
-        let dangling = f64::from_bits(dangling_bits.into_inner()) / n as f64;
+        let dangling = dangling_parts.iter().sum::<f64>() / n as f64;
         // Vertex-division gather phase (B1): each worker owns a disjoint
         // slice of `next`, so no synchronization is needed.
         par_chunks_mut(&mut next, threads, |offset, next_chunk| {
@@ -40,7 +53,7 @@ pub fn pagerank(graph: &CsrGraph, iterations: u32, threads: usize) -> Vec<f64> {
                 let v = offset + off;
                 let mut sum = 0.0;
                 for &u in transpose.neighbors(v as VertexId) {
-                    sum += rank[u as usize] / out_deg[u as usize] as f64;
+                    sum += contrib[u as usize];
                 }
                 *nx = (1.0 - DAMPING) / n as f64 + DAMPING * (sum + dangling);
             }
@@ -98,6 +111,23 @@ mod tests {
     fn empty_graph_returns_empty() {
         let g = EdgeList::new(0).into_csr().unwrap();
         assert!(pagerank(&g, 5, 2).is_empty());
+    }
+
+    #[test]
+    fn one_thread_equals_sequential_bit_for_bit() {
+        let g = PowerLaw::new(400, 3).generate(2);
+        assert_eq!(pagerank(&g, 20, 1), pagerank_seq(&g, 20));
+    }
+
+    #[test]
+    fn repeated_runs_are_bit_identical() {
+        let g = PowerLaw::new(500, 4).generate(5);
+        for threads in [3, 4, 16] {
+            let first = pagerank(&g, 20, threads);
+            for _ in 0..3 {
+                assert_eq!(pagerank(&g, 20, threads), first, "threads={threads}");
+            }
+        }
     }
 
     #[test]

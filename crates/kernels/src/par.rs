@@ -4,7 +4,7 @@
 //! regions on the process-wide [`crate::pool::ThreadPool`]; [`par_map`] is
 //! the index-ordered fan-out built on it.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Work-distribution policy for a parallel loop — the host realization of
@@ -130,14 +130,7 @@ where
             *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
         }
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every index is claimed exactly once")
-        })
-        .collect()
+    take_slots(slots)
 }
 
 /// Splits `0..n` into `threads` contiguous ranges and runs `work(range)` in
@@ -160,21 +153,25 @@ where
     Scheduler::Dynamic { grain }.for_each(n, threads, work);
 }
 
-/// Splits `data` into `threads` contiguous chunks and runs
-/// `work(offset, chunk)` in parallel, where `offset` is the chunk's start
-/// index in `data`. Each chunk is an exclusive `&mut` — the pool-friendly
-/// replacement for spawning scoped threads over `chunks_mut`.
-pub fn par_chunks_mut<T, F>(data: &mut [T], threads: usize, work: F)
+/// Splits `data` into up to `threads` contiguous chunks, runs
+/// `work(offset, chunk)` on each in parallel, and returns the chunks'
+/// results in chunk order; `offset` is the chunk's start index in `data`.
+/// Each chunk is an exclusive `&mut` — the pool-friendly replacement for
+/// spawning scoped threads over `chunks_mut`. Chunk boundaries depend only
+/// on `data.len()` and `threads`, so folding the results in order is a
+/// reduction that is deterministic at every fixed thread count.
+pub fn par_chunks_mut<T, R, F>(data: &mut [T], threads: usize, work: F) -> Vec<R>
 where
     T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
 {
     let n = data.len();
     if n == 0 {
-        return;
+        return Vec::new();
     }
-    let threads = threads.max(1).min(n);
-    let chunk = n.div_ceil(threads);
+    let chunk = n.div_ceil(threads.max(1).min(n));
+    let chunks = n.div_ceil(chunk);
     struct Base<T>(*mut T);
     // SAFETY: workers only dereference disjoint ranges of the allocation.
     unsafe impl<T: Send> Sync for Base<T> {}
@@ -186,18 +183,31 @@ where
         }
     }
     let base = Base(data.as_mut_ptr());
-    run_threads(threads, |t| {
+    let slots: Vec<Mutex<Option<R>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
+    run_threads(chunks, |t| {
         let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(n);
-        if lo < hi {
-            // SAFETY: each worker index runs exactly once, so the
-            // `lo..hi` ranges partition `data` into non-overlapping
-            // slices; the barrier in `run_threads` keeps `data` borrowed
-            // for the whole region.
-            let slice = unsafe { std::slice::from_raw_parts_mut(base.get().add(lo), hi - lo) };
-            work(lo, slice);
-        }
+        let hi = (lo + chunk).min(n);
+        // SAFETY: each worker index runs exactly once, so the `lo..hi`
+        // ranges partition `data` into non-overlapping slices; the
+        // barrier in `run_threads` keeps `data` borrowed for the whole
+        // region.
+        let slice = unsafe { std::slice::from_raw_parts_mut(base.get().add(lo), hi - lo) };
+        let result = work(lo, slice);
+        *slots[t].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
     });
+    take_slots(slots)
+}
+
+/// Unwraps the per-index result slots of a finished parallel region.
+fn take_slots<T>(slots: Vec<Mutex<Option<T>>>) -> Vec<T> {
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("every index is claimed exactly once")
+        })
+        .collect()
 }
 
 /// Atomically lowers `slot` to `min(slot, value)` for f32 bit-packed in
@@ -215,32 +225,6 @@ pub fn atomic_min_f32(slot: &AtomicU32, value: f32) -> bool {
         }
         match slot.compare_exchange_weak(cur, new_bits, Ordering::Relaxed, Ordering::Relaxed) {
             Ok(_) => return true,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// Atomically adds `value` to an f32 bit-packed in `AtomicU32`.
-pub fn atomic_add_f32(slot: &AtomicU32, value: f32) {
-    let mut cur = slot.load(Ordering::Relaxed);
-    loop {
-        let next = (f32::from_bits(cur) + value).to_bits();
-        match slot.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// Atomically adds `value` to an f64 bit-packed in `AtomicU64` — the
-/// double-precision reduction primitive PageRank's dangling-mass phase uses
-/// instead of a hand-rolled CAS loop at every call site.
-pub fn atomic_add_f64(slot: &AtomicU64, value: f64) {
-    let mut cur = slot.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + value).to_bits();
-        match slot.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
             Err(actual) => cur = actual,
         }
     }
@@ -331,28 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_add_sums_concurrently() {
-        let slot = AtomicU32::new(0.0f32.to_bits());
-        run_threads(4, |_| {
-            for _ in 0..100 {
-                atomic_add_f32(&slot, 1.0);
-            }
-        });
-        assert_eq!(f32::from_bits(slot.load(Ordering::Relaxed)), 400.0);
-    }
-
-    #[test]
-    fn atomic_add_f64_sums_concurrently() {
-        let slot = AtomicU64::new(0.0f64.to_bits());
-        run_threads(4, |_| {
-            for _ in 0..250 {
-                atomic_add_f64(&slot, 0.5);
-            }
-        });
-        assert_eq!(f64::from_bits(slot.load(Ordering::Relaxed)), 500.0);
-    }
-
-    #[test]
     fn par_ranges_with_zero_items_is_noop() {
         par_ranges(0, 4, |_| panic!("no work expected"));
     }
@@ -380,6 +342,22 @@ mod tests {
             }
         });
         assert_eq!(tiny, vec![10, 11]);
+    }
+
+    #[test]
+    fn par_chunks_mut_returns_results_in_chunk_order() {
+        let mut data = vec![0u8; 1003];
+        for threads in [1, 3, 7, 16] {
+            let spans = par_chunks_mut(&mut data, threads, |offset, chunk| (offset, chunk.len()));
+            assert!(spans.len() <= threads, "threads={threads}");
+            // The spans tile `0..n` in order.
+            let mut next = 0;
+            for (offset, len) in spans {
+                assert_eq!(offset, next, "threads={threads}");
+                next += len;
+            }
+            assert_eq!(next, data.len(), "threads={threads}");
+        }
     }
 
     #[test]

@@ -102,6 +102,41 @@ pub fn pagerank_seq(graph: &CsrGraph, iterations: u32) -> Vec<f64> {
     rank
 }
 
+/// Sequential push PageRank in `f32` with damping 0.85 over `iterations`
+/// rounds: every vertex scatters `rank[v] / out_deg(v)` to its
+/// out-neighbours in vertex and edge order, and dangling mass sums in
+/// vertex order. The oracle for
+/// [`pagerank_dp`](crate::pagerank_dp::pagerank_dp), which equals it bit
+/// for bit at one thread.
+pub fn pagerank_push_seq(graph: &CsrGraph, iterations: u32) -> Vec<f64> {
+    let n = graph.vertex_count();
+    if n == 0 {
+        return Vec::new();
+    }
+    let damping = 0.85f32;
+    let mut rank = vec![1.0f32 / n as f32; n];
+    for _ in 0..iterations {
+        let mut next = vec![0.0f32; n];
+        let mut dangling = 0.0f32;
+        for (v, &r) in rank.iter().enumerate() {
+            let deg = graph.out_degree(v as VertexId);
+            if deg == 0 {
+                dangling += r;
+                continue;
+            }
+            let share = r / deg as f32;
+            for &t in graph.neighbors(v as VertexId) {
+                next[t as usize] += share;
+            }
+        }
+        let dangling = dangling / n as f32;
+        for (r, gathered) in rank.iter_mut().zip(next) {
+            *r = (1.0 - damping) / n as f32 + damping * (gathered + dangling);
+        }
+    }
+    rank.into_iter().map(f64::from).collect()
+}
+
 /// Sequential triangle count (each triangle counted once).
 pub fn triangle_seq(graph: &CsrGraph) -> u64 {
     let n = graph.vertex_count();

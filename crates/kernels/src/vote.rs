@@ -79,14 +79,17 @@ impl LabelVote {
     }
 }
 
-/// Runs `iterations` synchronous (double-buffered) rounds of weighted label
-/// propagation over `n` vertices, starting from each vertex's own id.
+/// Runs up to `iterations` synchronous (double-buffered) rounds of
+/// weighted label propagation over `n` vertices, starting from each
+/// vertex's own id.
 ///
 /// Each round, vertex `v` adopts the [`LabelVote::winner`] of the labels its
 /// voters held in the previous round; `voters(v)` yields `(voter, weight)`
 /// pairs in a fixed order. Each parallel chunk sizes one [`LabelVote`] per
 /// round, and every vertex's tally is serial, so the result is bit-identical
-/// for every thread count.
+/// for every thread count. A round is a pure function of the previous
+/// labels, so once a round changes no label every later round would repeat
+/// it: the loop stops there with the labels the full budget would give.
 pub(crate) fn propagate<I>(
     n: usize,
     iterations: u32,
@@ -100,17 +103,24 @@ where
     let mut next = labels.clone();
     for _ in 0..iterations {
         let labels_ref = &labels;
-        par_chunks_mut(&mut next, threads, |offset, next_chunk| {
+        let changed = par_chunks_mut(&mut next, threads, |offset, next_chunk| {
             let mut vote = LabelVote::new(n);
+            let mut changed = false;
             for (off, nx) in next_chunk.iter_mut().enumerate() {
                 let v = (offset + off) as VertexId;
+                let current = labels_ref[v as usize];
                 let ballots = voters(v)
                     .into_iter()
                     .map(|(u, w)| (labels_ref[u as usize], w));
-                *nx = vote.winner(labels_ref[v as usize], ballots);
+                *nx = vote.winner(current, ballots);
+                changed |= *nx != current;
             }
+            changed
         });
         std::mem::swap(&mut labels, &mut next);
+        if !changed.iter().any(|&c| c) {
+            break;
+        }
     }
     labels
 }
@@ -118,6 +128,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::community_seq;
+    use heteromap_graph::gen::{GraphGenerator, RMat};
 
     #[test]
     fn sums_per_label_and_picks_heaviest() {
@@ -155,5 +167,25 @@ mod tests {
         // The next vote wraps the epoch; label 1's stale slot must not count.
         assert_eq!(v.winner(3, [(2, 1.0)]), 2);
         assert_eq!(v.winner(3, [(1, 1.0), (2, 1.0)]), 1);
+    }
+
+    #[test]
+    fn a_large_budget_stops_at_the_fixed_point() {
+        let g = RMat::new(9, 8.0, 0.57, 0.19, 0.19).generate(3);
+        // The first round count after which the (exit-free) oracle stops
+        // changing labels.
+        let converged = (0..)
+            .find(|&k| community_seq(&g, k) == community_seq(&g, k + 1))
+            .unwrap();
+        assert!(converged > 1, "the graph needs several rounds");
+        let expected = community_seq(&g, converged);
+        for threads in [1, 4] {
+            // Without the fixed-point exit this budget would run for
+            // minutes.
+            let labels = propagate(g.vertex_count(), 1_000_000, threads, |v| g.edges(v));
+            assert_eq!(labels, expected, "threads={threads}");
+            let exact = propagate(g.vertex_count(), converged, threads, |v| g.edges(v));
+            assert_eq!(exact, expected, "threads={threads}");
+        }
     }
 }

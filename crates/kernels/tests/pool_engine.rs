@@ -6,7 +6,9 @@
 
 use heteromap_graph::gen::{GraphGenerator, PowerLaw, UniformRandom};
 use heteromap_graph::{CsrGraph, EdgeList, VertexId};
-use heteromap_kernels::verify::{bfs_seq, conncomp_seq, dijkstra, pagerank_seq, triangle_seq};
+use heteromap_kernels::verify::{
+    bfs_seq, community_seq, conncomp_seq, dijkstra, pagerank_seq, triangle_seq,
+};
 use heteromap_kernels::{KernelOutput, KernelRunner};
 use heteromap_model::Workload;
 
@@ -61,6 +63,8 @@ fn all_nine_kernels_match_verifiers_at_every_thread_count() {
         let seq_ranks = pagerank_seq(&g, 8);
         let seq_comps = conncomp_seq(&g);
         let seq_triangles = triangle_seq(&tri_graph);
+        // The runner's default 10 label-propagation sweeps.
+        let seq_communities = community_seq(&g, 10);
         for threads in THREAD_COUNTS {
             let runner = KernelRunner::new(threads).with_pagerank_iterations(8);
             let tag = format!("{name}/t{threads}");
@@ -93,11 +97,7 @@ fn all_nine_kernels_match_verifiers_at_every_thread_count() {
                         }
                     }
                     (Workload::Community, KernelOutput::Labels(labels)) => {
-                        // No sequential oracle; label propagation is
-                        // double-buffered, so any thread count must equal
-                        // the single-threaded labelling.
-                        let one = KernelRunner::new(1).run(w, graph).output;
-                        assert_eq!(KernelOutput::Labels(labels), one, "{tag}: community");
+                        assert_eq!(labels, seq_communities, "{tag}: community")
                     }
                     // FP kernels: reference-tolerance.
                     (Workload::SsspBf, KernelOutput::Distances(d)) => {
@@ -131,8 +131,10 @@ fn repeated_runs_on_the_reused_pool_are_deterministic() {
         Workload::SsspBf,
         Workload::SsspDelta,
         Workload::PageRank,
+        Workload::PageRankDp,
         Workload::ConnComp,
         Workload::Community,
+        Workload::LabelProp,
         Workload::TriangleCount,
     ] {
         let first = runner.run(w, &g).output;

@@ -176,3 +176,77 @@ fn labelprop_matches_sequential_oracle() {
         }
     }
 }
+
+/// The bit-exact oracle output for a kernel whose output does not depend
+/// on scheduling.
+fn exact_oracle(w: Workload, g: &CsrGraph) -> KernelOutput {
+    match w {
+        Workload::Bfs => KernelOutput::Levels(verify::bfs_seq(g, 0)),
+        Workload::TriangleCount => KernelOutput::Count(verify::triangle_seq(g)),
+        Workload::ConnComp => KernelOutput::Labels(verify::conncomp_seq(g)),
+        Workload::KCore => KernelOutput::Labels(verify::kcore_seq(g)),
+        Workload::Community => KernelOutput::Labels(verify::community_seq(g, SWEEPS)),
+        Workload::LabelProp => KernelOutput::Labels(verify::labelprop_seq(g, SWEEPS)),
+        Workload::Spmv => {
+            // The runner's fixed SpMV input vector.
+            let x: Vec<f32> = (0..g.vertex_count())
+                .map(|i| 1.0 + (i % 7) as f32 * 0.25)
+                .collect();
+            KernelOutput::Distances(verify::spmv_seq(g, &x))
+        }
+        other => panic!("{other} has no bit-exact oracle"),
+    }
+}
+
+#[test]
+fn every_workload_matches_its_oracle_at_one_and_four_threads() {
+    // The runner's defaults: 20 PageRank iterations, 10 label sweeps.
+    const ITERATIONS: u32 = 20;
+    for (name, g) in vote_graphs() {
+        let levels = verify::bfs_seq(&g, 0);
+        let dist = verify::dijkstra(&g, 0);
+        let pull = verify::pagerank_seq(&g, ITERATIONS);
+        let push = verify::pagerank_push_seq(&g, ITERATIONS);
+        for threads in [1, 4] {
+            let runner = KernelRunner::new(threads);
+            let tag = format!("{name}/t{threads}");
+            for w in Workload::extended() {
+                match (w, runner.run(w, &g).output) {
+                    (Workload::Dfs, KernelOutput::Levels(parent)) => {
+                        // DFS trees depend on scheduling; the reached set
+                        // must equal BFS's.
+                        for (v, (&p, &l)) in parent.iter().zip(&levels).enumerate() {
+                            assert_eq!(p != u32::MAX, l != u32::MAX, "{tag}: dfs vertex {v}");
+                        }
+                    }
+                    (Workload::SsspBf | Workload::SsspDelta, KernelOutput::Distances(d)) => {
+                        for (v, (&a, &b)) in d.iter().zip(&dist).enumerate() {
+                            if a.is_finite() || b.is_finite() {
+                                assert!((a - b).abs() < 1e-2, "{tag}/{w} vertex {v}: {a} vs {b}");
+                            }
+                        }
+                    }
+                    (Workload::PageRank, KernelOutput::Ranks(r)) if threads == 1 => {
+                        assert_eq!(r, pull, "{tag}: pagerank")
+                    }
+                    (Workload::PageRank, KernelOutput::Ranks(r)) => {
+                        for (v, (a, b)) in r.iter().zip(&pull).enumerate() {
+                            assert!((a - b).abs() < 1e-9, "{tag}: pagerank vertex {v}");
+                        }
+                    }
+                    (Workload::PageRankDp, KernelOutput::Ranks(r)) if threads == 1 => {
+                        assert_eq!(r, push, "{tag}: pagerank_dp")
+                    }
+                    (Workload::PageRankDp, KernelOutput::Ranks(r)) => {
+                        let again = runner.run(w, &g).output;
+                        assert_eq!(again, KernelOutput::Ranks(r.clone()), "{tag}: rerun");
+                        for (v, (a, b)) in r.iter().zip(&push).enumerate() {
+                            assert!((a - b).abs() <= 1e-5 * b, "{tag}: pagerank_dp vertex {v}");
+                        }
+                    }
+                    (w, got) => assert_eq!(got, exact_oracle(w, &g), "{tag}: {w}"),
+                }
+            }
+        }
+    }
+}

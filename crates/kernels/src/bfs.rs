@@ -20,9 +20,13 @@
 //!   `V / BETA`. Power-law graphs stop paying the full push cost on the big
 //!   middle levels. Levels are direction-independent, so results stay
 //!   bit-identical with the sequential reference.
+//! * **Work-sized levels** — a top-down level asks
+//!   [`phase_threads`](crate::par::phase_threads) for its participant
+//!   count, so the many small levels of a sparse traversal run on the
+//!   caller instead of paying a pool hand-off each.
 
 use crate::frontier::SharedFrontier;
-use crate::par::Scheduler;
+use crate::par::{phase_threads, Scheduler};
 use crate::UNREACHED;
 use heteromap_graph::{CsrGraph, VertexId};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -150,9 +154,11 @@ pub fn bfs_with(
                 continue;
             }
         }
-        // Push: divide the frontier, claim neighbours by CAS.
+        // Push: divide the frontier, claim neighbours by CAS. A small
+        // frontier runs on the caller instead of waking the pool.
         let frontier = cur.as_slice();
-        scheduler.for_each_worker(frontier.len(), threads, |worker, range| {
+        let participants = phase_threads(frontier.len(), threads);
+        scheduler.for_each_worker(frontier.len(), participants, |worker, range| {
             let mut local = locals[worker].lock().unwrap_or_else(|e| e.into_inner());
             for &v in &frontier[range] {
                 for &t in graph.neighbors(v) {

@@ -1,10 +1,10 @@
 //! Community detection by synchronous label propagation — FP scoring over
 //! read-write shared labels (B5 + B6 + B10 in Fig. 5).
 //!
-//! Each vertex votes over its *out*-edges. The tally is the shared sparse
-//! accumulator of the crate's `vote` module (also behind
-//! [`labelprop`](crate::labelprop)): a dense weight slot per label, so no
-//! vote hashes or allocates. Each label's weight sums in edge order and the
+//! Each vertex votes over its *out*-edges. The tally is the crate's `vote`
+//! module (also behind [`labelprop`](crate::labelprop)): stack lanes for
+//! low-degree vertices, dense per-label cells for the rest, so no vote
+//! hashes or allocates. Each label's weight sums in edge order and the
 //! `(weight desc, label asc)` winner does not depend on the order labels are
 //! visited in, so labels equal the hash-map oracle
 //! [`community_seq`](crate::verify::community_seq) bit for bit.
@@ -21,9 +21,7 @@ use heteromap_graph::CsrGraph;
 /// synchronously (double-buffered), the phase/barrier structure the paper's
 /// B13 counts.
 pub fn community(graph: &CsrGraph, iterations: u32, threads: usize) -> Vec<u32> {
-    propagate(graph.vertex_count(), iterations, threads, |v| {
-        graph.edges(v)
-    })
+    propagate(graph, iterations, threads)
 }
 
 /// Number of distinct communities in a labelling.

@@ -10,8 +10,8 @@
 
 use crate::UNREACHED;
 use heteromap_graph::{CsrGraph, VertexId};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
 
 /// Result of a parallel DFS traversal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,7 +40,7 @@ pub fn dfs(graph: &CsrGraph, source: VertexId, threads: usize) -> DfsResult {
         let mut stack: Vec<VertexId> = Vec::new();
         loop {
             if stack.is_empty() {
-                let mut pool_guard = pool.lock();
+                let mut pool_guard = pool.lock().unwrap_or_else(|e| e.into_inner());
                 if let Some(seg) = pool_guard.pop() {
                     active.fetch_add(1, Ordering::SeqCst);
                     stack = seg;
@@ -65,7 +65,7 @@ pub fn dfs(graph: &CsrGraph, source: VertexId, threads: usize) -> DfsResult {
                 // load balancing).
                 if stack.len() > 64 {
                     let donated: Vec<VertexId> = stack.drain(..stack.len() / 2).collect();
-                    pool.lock().push(donated);
+                    pool.lock().unwrap_or_else(|e| e.into_inner()).push(donated);
                 }
             }
             active.fetch_sub(1, Ordering::SeqCst);

@@ -5,13 +5,12 @@
 //! Complements [`community`](crate::community): where community detection
 //! votes over a vertex's *out*-edges, label propagation here gathers the
 //! labels *pushed at* a vertex along its in-edges (via the cached
-//! transpose), the GARDENIA formulation. Both tally with the shared sparse
-//! accumulator of the crate's `vote` module: each vertex's vote sums serially in
-//! in-edge order into a dense per-label slot, and the `(weight desc, label
-//! asc)` winner does not depend on the order labels are visited in, so
-//! rounds are synchronous (double-buffered) and the result equals
-//! [`labelprop_seq`](crate::verify::labelprop_seq) bit for bit at every
-//! thread count.
+//! transpose), the GARDENIA formulation. Both tally with the crate's `vote`
+//! module: each vertex's vote sums serially in in-edge order per label, and
+//! the `(weight desc, label asc)` winner does not depend on the order labels
+//! are visited in, so rounds are synchronous (double-buffered) and the
+//! result equals [`labelprop_seq`](crate::verify::labelprop_seq) bit for
+//! bit at every thread count.
 
 use crate::vote::propagate;
 use heteromap_graph::CsrGraph;
@@ -19,13 +18,11 @@ use heteromap_graph::CsrGraph;
 /// Runs `iterations` synchronous rounds of push-direction weighted label
 /// propagation and returns the final label of each vertex.
 pub fn labelprop(graph: &CsrGraph, iterations: u32, threads: usize) -> Vec<u32> {
-    let n = graph.vertex_count();
-    if n == 0 {
+    if graph.vertex_count() == 0 {
         return Vec::new();
     }
-    let transpose = graph.transpose_cached();
     // In-neighbors of v with the pushing edge's weight.
-    propagate(n, iterations, threads, |v| transpose.edges(v))
+    propagate(&graph.transpose_cached(), iterations, threads)
 }
 
 #[cfg(test)]

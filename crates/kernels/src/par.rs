@@ -91,6 +91,43 @@ where
     crate::pool::ThreadPool::global().run(threads, work);
 }
 
+/// Work items a frontier phase needs per extra participant before it
+/// leaves the caller (see [`phase_threads`]).
+///
+/// Handing a region to the pool costs a fixed wake-up and barrier
+/// round-trip `h`, while an item of a sparse frontier (a BFS vertex or a
+/// Δ-stepping bucket entry) costs `c` of edge work. A second participant
+/// saves at most `k·c / 2` of a `k`-item phase, so it pays only once
+/// `k > 2h / c`. On a 2-vCPU x86-64 VM an empty 2-participant region takes
+/// `h ≈ 15 µs`, and a top-down BFS vertex takes `c ≈ 33–54 ns` at one
+/// thread (grid-180: 359 levels, 1.1–1.3 ms; uniform, average degree 3:
+/// 42–54 ns). That puts the break-even at 550–950 items. 512 sits just
+/// below it, so a phase that could gain from a second participant keeps
+/// it, while the hundreds of sub-200-vertex levels of a mesh run inline.
+pub const PHASE_ITEMS_PER_PARTICIPANT: usize = 512;
+
+/// Participants for a frontier phase of `items` work items when `threads`
+/// are requested: one more than the number of whole
+/// [`PHASE_ITEMS_PER_PARTICIPANT`] blocks in `items`, capped at `threads`.
+/// A phase below one block runs on the caller without entering the pool.
+///
+/// Only per-level and per-bucket phases, whose size swings from one vertex
+/// to most of the graph, ask for this. Full-graph sweeps and
+/// [`par_map`]'s heavy items use the requested count as is.
+///
+/// # Example
+///
+/// ```
+/// use heteromap_kernels::par::{phase_threads, PHASE_ITEMS_PER_PARTICIPANT};
+///
+/// assert_eq!(phase_threads(PHASE_ITEMS_PER_PARTICIPANT - 1, 4), 1);
+/// assert_eq!(phase_threads(PHASE_ITEMS_PER_PARTICIPANT, 4), 2);
+/// assert_eq!(phase_threads(100 * PHASE_ITEMS_PER_PARTICIPANT, 4), 4);
+/// ```
+pub fn phase_threads(items: usize, threads: usize) -> usize {
+    threads.max(1).min(1 + items / PHASE_ITEMS_PER_PARTICIPANT)
+}
+
 /// Computes `f(i)` for every `i in 0..n` on up to `threads` pool
 /// participants and returns the results in index order — the one ordered
 /// fan-out every deterministic round loop and parallel evaluator uses.
@@ -436,6 +473,19 @@ mod tests {
         assert!(result.is_err());
         // The pool stays usable after a participant panicked.
         assert_eq!(par_map(3, 2, |i| i + 1), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn phase_threads_grows_one_participant_per_block() {
+        let block = PHASE_ITEMS_PER_PARTICIPANT;
+        assert_eq!(phase_threads(0, 4), 1);
+        assert_eq!(phase_threads(block - 1, 16), 1);
+        assert_eq!(phase_threads(block, 16), 2);
+        assert_eq!(phase_threads(3 * block - 1, 16), 3);
+        assert_eq!(phase_threads(usize::MAX, 16), 16);
+        // The request is a cap, and zero threads means one.
+        assert_eq!(phase_threads(10 * block, 2), 2);
+        assert_eq!(phase_threads(10 * block, 0), 1);
     }
 
     #[test]

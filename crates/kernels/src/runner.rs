@@ -325,7 +325,19 @@ mod tests {
 
     #[test]
     fn full_tracing_records_kernel_spans_and_worker_regions() {
-        let g = UniformRandom::new(200, 1_200).generate(3);
+        // Sparse enough to stay top-down, large enough that middle levels
+        // pass the inline floor and enter the pool.
+        let g = UniformRandom::new(20_000, 60_000).generate(3);
+        let mut width = vec![0; g.vertex_count()];
+        for level in crate::verify::bfs_seq(&g, 0) {
+            if level != crate::UNREACHED {
+                width[level as usize] += 1;
+            }
+        }
+        assert!(!crate::bfs::direction_optimizing(&g));
+        assert!(width
+            .iter()
+            .any(|&w| w >= crate::par::PHASE_ITEMS_PER_PARTICIPANT));
         let runner = KernelRunner::new(4);
         heteromap_obs::set_level(heteromap_obs::TraceLevel::Full);
         let run = runner.run(Workload::Bfs, &g);

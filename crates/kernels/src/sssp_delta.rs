@@ -2,11 +2,11 @@
 //! parallel relaxation phase per bucket and a reduction to select the next
 //! bucket — the push-pop (B4) + reduction (B5) profile of Fig. 5.
 
-use crate::par::{atomic_min_f32, par_ranges};
+use crate::par::{atomic_min_f32, par_ranges, phase_threads};
 use crate::Distance;
 use heteromap_graph::{CsrGraph, VertexId};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
 
 /// Runs Δ-stepping from `source` with bucket width `delta`, returning the
 /// shortest distances.
@@ -45,11 +45,13 @@ pub fn sssp_delta(
             break;
         }
         // Pop the bucket and relax it in parallel until it stops refilling
-        // (light-edge reinsertions land back in the same bucket).
+        // (light-edge reinsertions land back in the same bucket). A small
+        // pass runs on the caller instead of waking the pool.
         while !buckets[current].is_empty() {
             let frontier = std::mem::take(&mut buckets[current]);
             let inserts: Mutex<Vec<(usize, VertexId)>> = Mutex::new(Vec::new());
-            par_ranges(frontier.len(), threads, |range| {
+            let participants = phase_threads(frontier.len(), threads);
+            par_ranges(frontier.len(), participants, |range| {
                 let mut local = Vec::new();
                 for &v in &frontier[range] {
                     let dv = f32::from_bits(dist[v as usize].load(Ordering::Relaxed));
@@ -70,10 +72,13 @@ pub fn sssp_delta(
                     }
                 }
                 if !local.is_empty() {
-                    inserts.lock().extend_from_slice(&local);
+                    inserts
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .extend_from_slice(&local);
                 }
             });
-            let inserts = inserts.into_inner();
+            let inserts = inserts.into_inner().unwrap_or_else(|e| e.into_inner());
             for (b, v) in inserts {
                 let b = b.max(current);
                 if b >= buckets.len() {

@@ -1,22 +1,26 @@
-//! Parallel triangle counting by sorted-adjacency intersection — the
+//! Parallel triangle counting by marked intersection — the
 //! reduction-heavy (B5), read-only-shared (B9) workload of Fig. 5.
 //!
-//! Each pair `v < u` intersects only the parts of the two sorted adjacency
-//! lists above `u`, found by binary search; the prefixes at or below the
-//! floor can never close a counted triangle, so they are not merged. The
+//! Triangles are counted at their smallest vertex `v` over the upper
+//! neighbourhood `N⁺(v)`, the part of `v`'s sorted adjacency list above
+//! `v`. A worker marks `N⁺(v)` once in a per-worker array of
+//! multiplicities; each `u ∈ N⁺(v)` then walks only `N⁺(u)` and consumes a
+//! mark per match. A pair `(v, u)` costs `|N⁺(u)|` instead of a merge's
+//! `|N⁺(v)| + |N⁺(u)|`, which removes the quadratic term of a hub `v`. The
 //! count equals [`triangle_seq`](crate::verify::triangle_seq)'s full-list
 //! merge exactly, duplicate (multi-)edges included.
 
 use crate::par::Scheduler;
 use heteromap_graph::{CsrGraph, VertexId};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Counts triangles (unordered vertex triples mutually connected), assuming
 /// an undirected graph stored with both edge directions.
 ///
 /// Each triangle `v < u < w` is counted exactly once at its smallest vertex.
-/// Work is distributed dynamically because hub vertices carry quadratic
-/// intersection cost (the degree-skew imbalance the paper's M11 dynamic
+/// Work is distributed dynamically because hub vertices carry the most
+/// intersection work (the degree-skew imbalance the paper's M11 dynamic
 /// scheduling addresses).
 pub fn triangle_count(graph: &CsrGraph, threads: usize) -> u64 {
     triangle_count_with(graph, threads, Scheduler::Dynamic { grain: 64 })
@@ -27,43 +31,75 @@ pub fn triangle_count(graph: &CsrGraph, threads: usize) -> u64 {
 pub fn triangle_count_with(graph: &CsrGraph, threads: usize, scheduler: Scheduler) -> u64 {
     let n = graph.vertex_count();
     let total = AtomicU64::new(0);
-    scheduler.for_each(n, threads, |range| {
-        let mut local = 0u64;
-        for v in range {
-            let v = v as VertexId;
-            let nv = graph.neighbors(v);
-            // Candidates `w > u > v` lie past `u` in both sorted lists.
-            for k in above(nv, v)..nv.len() {
-                let u = nv[k];
-                let nu = graph.neighbors(u);
-                local += intersect_count(&nv[k + 1..], &nu[above(nu, u)..]);
-            }
+    // One mark array per worker, allocated on its first chunk.
+    let marks: Vec<Mutex<Marks>> = (0..threads.max(1))
+        .map(|_| Mutex::new(Marks::default()))
+        .collect();
+    scheduler.for_each_worker(n, threads, |worker, range| {
+        let mut marks = marks[worker].lock().unwrap_or_else(|e| e.into_inner());
+        if marks.count.len() != n {
+            marks.count = vec![0; n];
         }
+        let local: u64 = range
+            .map(|v| marks.triangles_at(graph, v as VertexId))
+            .sum();
         total.fetch_add(local, Ordering::Relaxed);
     });
     total.load(Ordering::Relaxed)
 }
 
+/// A worker's intersection scratch: `count[w]` is how many marks of `w`
+/// are outstanding (zero between calls of [`Marks::triangles_at`]), and
+/// `matched` starts with the marks one `u` consumed.
+#[derive(Debug, Default)]
+struct Marks {
+    count: Vec<u32>,
+    matched: Vec<VertexId>,
+}
+
+impl Marks {
+    /// Triangles whose smallest vertex is `v`: for each `u` in `N⁺(v)`, in
+    /// order, Σ over `w > u` of `min(mult(w, N⁺(v)), mult(w, N⁺(u)))` —
+    /// what a merge of `v`'s list past `u` with `N⁺(u)` counts.
+    fn triangles_at(&mut self, graph: &CsrGraph, v: VertexId) -> u64 {
+        let nv = graph.neighbors(v);
+        let upper = &nv[above(nv, v)..];
+        for &w in upper {
+            self.count[w as usize] += 1;
+        }
+        let mut triangles = 0;
+        for &u in upper {
+            // Marks of vertices at or below `u` are never matched: `N⁺(u)`
+            // lies above `u`. Dropping `u`'s own mark here leaves every mark
+            // at zero once the loop ends.
+            self.count[u as usize] -= 1;
+            let nu = graph.neighbors(u);
+            let upper_u = &nu[above(nu, u)..];
+            if self.matched.len() < upper_u.len() {
+                self.matched.resize(upper_u.len(), 0);
+            }
+            // Branch-free: every candidate is written, and the cursor only
+            // moves past the ones that consumed a mark.
+            let mut hits = 0;
+            for &w in upper_u {
+                let mark = &mut self.count[w as usize];
+                let hit = u32::from(*mark > 0);
+                *mark -= hit;
+                self.matched[hits] = w;
+                hits += hit as usize;
+            }
+            triangles += hits as u64;
+            for &w in &self.matched[..hits] {
+                self.count[w as usize] += 1;
+            }
+        }
+        triangles
+    }
+}
+
 /// Index of the first element of the sorted slice `a` that is `> floor`.
 fn above(a: &[VertexId], floor: VertexId) -> usize {
     a.partition_point(|&x| x <= floor)
-}
-
-/// Counts matched pairs of a merge of the sorted slices `a` and `b`.
-fn intersect_count(a: &[VertexId], b: &[VertexId]) -> u64 {
-    let (mut i, mut j, mut count) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
 }
 
 #[cfg(test)]

@@ -29,7 +29,6 @@
 pub mod adaptive;
 pub mod decision_tree;
 pub mod eval;
-pub mod knn;
 pub mod linalg;
 pub mod nn;
 pub mod persist;
@@ -41,7 +40,6 @@ pub mod trainer;
 pub use adaptive::AdaptiveLibrary;
 pub use decision_tree::DecisionTree;
 pub use eval::{Evaluator, LearnerReport};
-pub use knn::KnnPredictor;
 pub use nn::{NeuralPredictor, TrainConfig};
 pub use persist::PersistedModel;
 pub use predictor::{DatabaseSummary, Objective, Predictor, TrainingSample, TrainingSet};

@@ -226,13 +226,8 @@ fn every_workload_matches_its_oracle_at_one_and_four_threads() {
                             }
                         }
                     }
-                    (Workload::PageRank, KernelOutput::Ranks(r)) if threads == 1 => {
-                        assert_eq!(r, pull, "{tag}: pagerank")
-                    }
                     (Workload::PageRank, KernelOutput::Ranks(r)) => {
-                        for (v, (a, b)) in r.iter().zip(&pull).enumerate() {
-                            assert!((a - b).abs() < 1e-9, "{tag}: pagerank vertex {v}");
-                        }
+                        assert_eq!(r, pull, "{tag}: pagerank")
                     }
                     (Workload::PageRankDp, KernelOutput::Ranks(r)) if threads == 1 => {
                         assert_eq!(r, push, "{tag}: pagerank_dp")
@@ -249,4 +244,101 @@ fn every_workload_matches_its_oracle_at_one_and_four_threads() {
             }
         }
     }
+}
+
+/// Thread counts for the kernels whose results must not depend on how a
+/// phase is split: 1, both sides of the 2-vCPU host, and oversubscribed.
+const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 4, 16];
+
+#[test]
+fn pagerank_equals_its_oracle_at_every_thread_count() {
+    let mut graphs = vote_graphs();
+    graphs.push((
+        "rmat-12".to_string(),
+        RMat::new(12, 8.0, 0.57, 0.19, 0.19).generate(1),
+    ));
+    for (name, g) in graphs {
+        let expected = KernelOutput::Ranks(verify::pagerank_seq(&g, 20));
+        for threads in THREAD_COUNTS {
+            let run = KernelRunner::new(threads).run(Workload::PageRank, &g);
+            assert_eq!(run.output, expected, "{name}/{threads}");
+        }
+    }
+}
+
+/// How many of `values` fall in each bin, for values given as bin indices.
+fn bin_sizes(bins: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut sizes = Vec::new();
+    for b in bins {
+        if b >= sizes.len() {
+            sizes.resize(b + 1, 0);
+        }
+        sizes[b] += 1;
+    }
+    sizes
+}
+
+#[test]
+fn frontier_kernels_match_their_oracles_on_both_sides_of_the_inline_floor() {
+    use heteromap_graph::gen::{Grid, UniformRandom};
+    use heteromap_kernels::par::PHASE_ITEMS_PER_PARTICIPANT as FLOOR;
+    // The runner's default Δ-stepping bucket width.
+    const DELTA: f32 = 4.0;
+    let graphs = [
+        // Average degree 3: top-down throughout, with levels and buckets
+        // from one vertex to thousands.
+        (
+            "uniform-20k",
+            UniformRandom::new(20_000, 60_000).generate(3),
+        ),
+        // Every level and bucket of a mesh is below the floor.
+        ("grid-60", Grid::new(60, 60).generate(3)),
+        ("rmat-12", RMat::new(12, 8.0, 0.57, 0.19, 0.19).generate(1)),
+    ];
+    let (mut small, mut large) = (false, false);
+    for (name, g) in graphs {
+        let levels = verify::bfs_seq(&g, 0);
+        let dist = verify::dijkstra(&g, 0);
+        let level_sizes = bin_sizes(
+            levels
+                .iter()
+                .filter(|&&l| l != u32::MAX)
+                .map(|&l| l as usize),
+        );
+        let bucket_sizes = bin_sizes(
+            dist.iter()
+                .filter(|d| d.is_finite())
+                .map(|&d| (d / DELTA) as usize),
+        );
+        for sizes in [&level_sizes, &bucket_sizes] {
+            small |= sizes.iter().any(|&s| s > 0 && s < FLOOR);
+            large |= sizes.iter().any(|&s| s >= FLOOR);
+        }
+        for threads in THREAD_COUNTS {
+            let runner = KernelRunner::new(threads).with_delta(DELTA);
+            let bfs = runner.run(Workload::Bfs, &g).output;
+            assert_eq!(
+                bfs,
+                KernelOutput::Levels(levels.clone()),
+                "{name}/{threads}: bfs"
+            );
+            match runner.run(Workload::SsspDelta, &g).output {
+                KernelOutput::Distances(d) => {
+                    for (v, (&a, &b)) in d.iter().zip(&dist).enumerate() {
+                        if a.is_finite() || b.is_finite() {
+                            assert!(
+                                (a - b).abs() < 1e-2,
+                                "{name}/{threads}: sssp_delta vertex {v}: {a} vs {b}"
+                            );
+                        }
+                    }
+                }
+                other => panic!("unexpected output {other:?}"),
+            }
+        }
+    }
+    assert!(
+        small && large,
+        "phases must fall on both sides of the floor"
+    );
 }

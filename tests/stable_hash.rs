@@ -328,3 +328,151 @@ fn dyngraph_digest_is_pinned() {
         );
     }
 }
+
+/// The fold branches the smoke pins above never reach: migrations,
+/// breaker trips and drift penalties (fleet at intensity 0.9 on one device
+/// per spec), the all-open shed shortcut (chaos seed 1 at intensity 1.0)
+/// and the telemetry observer. Every report field is pinned, floats by
+/// bits, because `drift_signals`, `breaker_closes`, `span_ms` and
+/// `avg_utilization` do not enter the digest. Each case also asserts that
+/// its branch counter is nonzero, so a pin cannot quietly stop covering
+/// its branch.
+#[test]
+fn round_loop_fold_branches_are_pinned() {
+    use heteromap_chaos::{ChaosPlan, ChaosReport, ChaosRunner};
+    use heteromap_fleet::{Cluster, FleetReport, FleetSim, FleetTrace, Placer};
+
+    let fleet_fields = |r: &FleetReport| {
+        [
+            r.jobs as u64,
+            r.good as u64,
+            r.late as u64,
+            r.failed as u64,
+            r.shed as u64,
+            r.migrations,
+            r.p99_ms.to_bits(),
+            r.jobs_per_sec.to_bits(),
+            r.span_ms.to_bits(),
+            r.avg_utilization.to_bits(),
+            r.breaker_opens,
+            r.breaker_closes,
+            r.drift_signals,
+            r.digest,
+        ]
+    };
+    let chaos_fields = |r: &ChaosReport| {
+        [
+            r.requests as u64,
+            r.good as u64,
+            r.late as u64,
+            r.failed as u64,
+            r.shed as u64,
+            r.p99_ms.to_bits(),
+            r.breaker_opens,
+            r.breaker_closes,
+            r.digest,
+        ]
+    };
+
+    let fleet = [
+        (
+            Placer::Greedy,
+            [
+                79,
+                24,
+                1,
+                0,
+                54,
+                4,
+                0x4072_584b_5047_e12d,
+                0x404e_4d69_42db_c8a6,
+                0x4078_c022_69a4_ea12,
+                0x3fe3_143f_960e_c16f,
+                1,
+                0,
+                3,
+                0x2862_9fd3_726f_ea4e,
+            ],
+        ),
+        (
+            Placer::Evolution,
+            [
+                79,
+                25,
+                0,
+                0,
+                54,
+                4,
+                0x406f_a51a_76c9_067a,
+                0x4051_92cf_b789_8800,
+                0x4076_3a64_54c1_8c22,
+                0x3fe3_a429_4dda_b4d0,
+                1,
+                1,
+                3,
+                0x77b7_b557_7981_8fff,
+            ],
+        ),
+    ];
+    for (placer, want) in fleet {
+        let sim = FleetSim::new(FleetTrace::smoke(42, 0.9), Cluster::uniform(1), placer);
+        for threads in [1, 4] {
+            let report = sim.run(threads);
+            assert!(
+                report.migrations > 0 && report.breaker_opens > 0 && report.drift_signals > 0,
+                "fleet {placer} must migrate, trip and drift: {report:?}"
+            );
+            let got = fleet_fields(&report);
+            assert_eq!(got, want, "fleet {placer} threads={threads}: got {got:#x?}");
+        }
+    }
+
+    let runner = ChaosRunner::new(ChaosPlan::smoke(1, 1.0), true);
+    let want = [
+        192,
+        141,
+        19,
+        0,
+        32,
+        0x40d8_cf06_bea9_ca40,
+        7,
+        2,
+        0xe542_2f3b_122a_248f,
+    ];
+    for threads in [1, 4] {
+        let report = runner.run(threads);
+        assert!(report.shed > 0, "chaos must shed: {report:?}");
+        let got = chaos_fields(&report);
+        assert_eq!(got, want, "chaos shed threads={threads}: got {got:#x?}");
+    }
+
+    let runner = ChaosRunner::new(ChaosPlan::smoke(42, 0.5), true);
+    for threads in [1, 4] {
+        let telemetry = runner.run_telemetry(threads);
+        assert_eq!(telemetry.flagged_episodes, [1, 4, 5], "threads={threads}");
+        assert_eq!(telemetry.signals.len(), 8, "threads={threads}");
+        let mut h = StableHasher::new();
+        h.write(telemetry.prometheus_text().as_bytes());
+        let got = h.finish();
+        assert_eq!(
+            got, 0xea19_9e8b_fc4f_02cf,
+            "chaos exposition threads={threads}: got {got:#018x}"
+        );
+        let got = chaos_fields(&telemetry.report);
+        let want = [
+            192,
+            182,
+            10,
+            0,
+            0,
+            0x40c7_da24_3cb4_f967,
+            1,
+            1,
+            0xcd38_6fd0_8b20_10d5,
+        ];
+        assert_eq!(
+            got, want,
+            "chaos telemetry threads={threads}: got {got:#x?}"
+        );
+    }
+}

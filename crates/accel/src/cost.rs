@@ -26,11 +26,10 @@ use crate::spec::AcceleratorSpec;
 use heteromap_graph::GraphStats;
 use heteromap_model::workload::IterationModel;
 use heteromap_model::{BVector, MConfig, OmpSchedule, Workload};
-use serde::{Deserialize, Serialize};
 
 /// Everything the cost model needs to know about one benchmark-input
 /// combination.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadContext {
     /// Benchmark variables.
     pub b: BVector,
@@ -82,7 +81,7 @@ impl WorkloadContext {
 
 /// Decomposition of a simulated completion time into the model's terms
 /// (diagnostics; milliseconds, pre-noise).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimBreakdown {
     /// Compute-path time (lanes x frequency x penalties).
     pub compute_ms: f64,
@@ -101,7 +100,7 @@ pub struct SimBreakdown {
 }
 
 /// Simulated outcome of one deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimReport {
     /// Completion time in milliseconds (on-chip processing only, like the
     /// paper: "only the time spent in processing the graph on-chip").
@@ -115,7 +114,7 @@ pub struct SimReport {
 /// Tunable constants of the analytical model. Grouped here so the
 /// calibration bench can perturb them (`ablation` targets) and so every
 /// magic number is named.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constants {
     /// Fraction of edges re-touched per extra outer iteration.
     pub edge_revisit_per_iter: f64,
@@ -249,7 +248,7 @@ impl Default for Constants {
 }
 
 /// The analytical cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostModel {
     constants: Constants,
 }

@@ -26,12 +26,11 @@
 
 use crate::cost::WorkloadContext;
 use heteromap_model::{Accelerator, MConfig};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// Health of one accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum FaultState {
     /// Fully operational — deploys behave exactly like the seed simulator.
     #[default]
@@ -69,7 +68,7 @@ impl FaultState {
 }
 
 /// Fault-injection plan for a GPU + multicore pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// GPU health.
     pub gpu: FaultState,

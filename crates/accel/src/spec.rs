@@ -1,11 +1,10 @@
 //! Accelerator specifications (paper Table II and §VI-A/§VI-D).
 
 use heteromap_model::mconfig::DeployLimits;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Broad architecture family of an accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AcceleratorKind {
     /// Throughput-oriented GPU: many small cores, tiny incoherent caches,
     /// latency hiding through massive threading.
@@ -22,7 +21,7 @@ pub enum AcceleratorKind {
 /// The fields mirror the paper's Table II plus the §VI-A/§VI-D prose for the
 /// GTX-970 and the 40-core Xeon. These are passive data, so fields are
 /// public.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorSpec {
     /// Marketing name, e.g. `"GTX-750Ti"`.
     pub name: &'static str,

@@ -1,60 +1,29 @@
-//! The chaos round driver: deterministic execution of a [`ChaosPlan`]
-//! through the serving stack at any thread count.
+//! The chaos round driver: a [`ChaosPlan`] executed through the serving
+//! stack as a policy over [`heteromap::rounds`].
 //!
-//! Determinism strategy, in order of importance:
-//!
-//! 1. **Simulated time only.** Placements charge simulated milliseconds, and
-//!    the chaos engine zeroes every real-time-adjacent overhead knob
-//!    (`flop_ns`, `hit_overhead_ms`), so a request's outcome is identical
-//!    whether it hit or missed the cache — races on the cache cannot leak
-//!    into results.
-//! 2. **Round-granular routing.** The breaker board is snapshotted at round
-//!    start; every request in the round routes from that snapshot, and the
-//!    board is updated by a *serial fold in slot order* after the parallel
-//!    evaluation. Mid-round interleavings therefore cannot influence breaker
-//!    evolution.
-//! 3. **Pure per-slot outcomes.** Given the snapshot and the installed
-//!    fault plan, each slot's placement is a pure function of the plan seed
-//!    — worker threads only decide *who* computes a slot, never *what* it
-//!    resolves to.
+//! The round engine supplies the determinism: routing is snapshotted at
+//! round start, slots are evaluated in parallel as pure functions of the
+//! snapshot, and the breaker board, tallies and digest evolve in one serial
+//! fold in slot order. This module adds simulated time: placements charge
+//! simulated milliseconds, and the chaos engine zeroes every
+//! real-time-adjacent overhead knob (`flop_ns`, `hit_overhead_ms`), so a
+//! request's outcome is identical whether it hit or missed the cache, and
+//! races on the cache cannot leak into results.
 //!
 //! The digest chains every `(round, slot, outcome, accelerator, time,
-//! config)` through one hasher, so two runs agree on the digest iff they
-//! agreed on every single request.
+//! config)`, so two runs agree on the digest iff they agreed on every
+//! single request.
 
 use crate::plan::{ChaosEvent, ChaosPlan, DATASETS, WORKLOADS};
+use heteromap::rounds::{self, Ledger, Resolution, RoundPolicy};
 use heteromap::{AttemptOutcome, BreakerBoard, BreakerConfig, DeployOptions, HeteroMap};
 use heteromap_accel::cost::WorkloadContext;
-use heteromap_model::{fold_digest, Accelerator};
+use heteromap_model::Accelerator;
 use heteromap_obs::metrics::{
     DriftConfig, HealthBoard, HealthSignal, MetricsHub, SeriesDetector, SignalKind,
     LATENCY_BOUNDS_MS,
 };
 use heteromap_serve::{ServeConfig, ServeEngine, ServeMode, Served};
-
-/// How one chaos request resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resolution {
-    /// Completed within its deadline.
-    Good,
-    /// Resolved, but outside the deadline (typed deadline error territory).
-    Late,
-    /// Every leg failed (outage, OOM on both accelerators).
-    Failed,
-    /// Refused at round start because both breakers were open.
-    Shed,
-}
-
-impl Resolution {
-    fn tag(self) -> u64 {
-        match self {
-            Resolution::Good => 1,
-            Resolution::Late => 2,
-            Resolution::Failed => 3,
-            Resolution::Shed => 4,
-        }
-    }
-}
 
 /// Aggregated outcome of one chaos run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,16 +64,13 @@ impl ChaosReport {
     }
 }
 
-/// Per-round tally handed to the telemetry observer by
-/// [`ChaosRunner::run_observed`]. Built inside the serial fold, so its
-/// contents are independent of worker count.
-struct RoundStats<'a> {
-    /// Requests driven this round.
-    n: usize,
-    good: usize,
-    late: usize,
-    failed: usize,
-    shed: usize,
+/// One round's tally, handed to the telemetry observer with the ledger
+/// and the breaker board after the serial fold, so what the observer sees
+/// is independent of worker count.
+#[derive(Debug, Default)]
+struct RoundStats {
+    /// The ledger's counts and time count when the round opened.
+    start: ([usize; 4], usize),
     /// Requests that needed more than one deploy attempt.
     multi_attempt: usize,
     /// Attempts beyond the first, summed over the round's requests.
@@ -113,11 +79,6 @@ struct RoundStats<'a> {
     /// exactly 0.0 on a fault-free round (every natural placement is no
     /// slower than its worst-leg reference).
     overdraft_sum: f64,
-    /// Finite completion times of this round's resolved requests.
-    times: &'a [f64],
-    /// Cumulative breaker trips/recoveries through this round.
-    breaker_opens: u64,
-    breaker_closes: u64,
 }
 
 /// Telemetry captured by [`ChaosRunner::run_telemetry`]: the ordinary
@@ -247,194 +208,43 @@ impl ChaosRunner {
         &self.engine
     }
 
-    /// The deadline of one request slot.
-    fn deadline_ms(&self, wi: usize, di: usize) -> f64 {
-        self.plan.deadline_factor * self.reference_ms[wi][di]
-    }
-
     /// Executes the plan across `threads` workers and returns the tally.
     ///
     /// The digest (and every count) is a pure function of the plan — rerun
     /// with any thread count and it must match bit for bit.
     pub fn run(&self, threads: usize) -> ChaosReport {
-        self.run_observed(threads, |_, _| {})
+        self.run_observed(threads, |_, _, _, _| {})
     }
 
     /// [`ChaosRunner::run`] with a per-round observer. The observer fires
-    /// from the serial fold after each round's breaker/digest bookkeeping,
-    /// so anything it records is deterministic at any worker count — and
-    /// because it is passive, the returned report (digest included) is
-    /// bit-identical to an unobserved run.
-    fn run_observed<F: for<'a> FnMut(u32, &RoundStats<'a>)>(
-        &self,
-        threads: usize,
-        mut observe: F,
-    ) -> ChaosReport {
-        let threads = threads.max(1);
-        let mut board = BreakerBoard::new(self.breaker);
-        let mut digest: u64 = self.plan.seed ^ 0x5EED_C4A0_5B01_7E55;
-        let mut times: Vec<f64> = Vec::new();
-        let mut report = ChaosReport {
-            requests: 0,
-            good: 0,
-            late: 0,
-            failed: 0,
-            shed: 0,
-            p99_ms: f64::NAN,
-            breaker_opens: 0,
-            breaker_closes: 0,
-            digest: 0,
+    /// after each round's serial fold, so anything it records is
+    /// deterministic at any worker count — and because it is passive, the
+    /// returned report (digest included) is bit-identical to an unobserved
+    /// run.
+    fn run_observed<F>(&self, threads: usize, observe: F) -> ChaosReport
+    where
+        F: FnMut(u32, &RoundStats, &Ledger, &BreakerBoard) + Sync,
+    {
+        let mut policy = ChaosRound {
+            runner: self,
+            board: BreakerBoard::new(self.breaker),
+            avoid: None,
+            stats: RoundStats::default(),
+            observe,
         };
-
-        for round in 0..self.plan.rounds {
-            let fault_plan = self.plan.fault_plan_for_round(round);
-            if round % self.plan.episode_len.max(1) == 0 {
-                let episode = self.plan.episode_of(round);
-                let event = self.plan.event_for_episode(episode);
-                heteromap_obs::event("chaos.episode", || {
-                    format!("episode={episode} round={round} event={event:?}")
-                });
-            }
-            self.engine.set_fault_plan(fault_plan);
-
-            let n = self.plan.requests_per_round as usize;
-            report.requests += n;
-            // Snapshot routing for the whole round.
-            let (all_open, avoid) = if self.resilient {
-                (board.all_open(), board.route_avoid())
-            } else {
-                (false, None)
-            };
-            if all_open {
-                for slot in 0..n {
-                    board.on_shed_open();
-                    report.shed += 1;
-                    digest = fold_digest(
-                        digest,
-                        &[u64::from(round), slot as u64, Resolution::Shed.tag()],
-                    );
-                }
-                observe(
-                    round,
-                    &RoundStats {
-                        n,
-                        good: 0,
-                        late: 0,
-                        failed: 0,
-                        shed: n,
-                        multi_attempt: 0,
-                        extra_attempts: 0,
-                        overdraft_sum: 0.0,
-                        times: &[],
-                        breaker_opens: board.total_opens(),
-                        breaker_closes: board.total_closes(),
-                    },
-                );
-                continue;
-            }
-
-            let outcomes = self.evaluate_round(round, n, avoid, threads);
-            let round_times_start = times.len();
-            let (mut good, mut late, mut failed) = (0usize, 0usize, 0usize);
-            let mut multi_attempt = 0usize;
-            let mut extra_attempts = 0usize;
-            let mut overdraft_sum = 0.0f64;
-            // Serial fold in slot order: breaker evolution and the digest
-            // are independent of which worker computed which slot.
-            for (slot, (deadline, served)) in outcomes.iter().enumerate() {
-                let time_ms = served.placement.report.time_ms;
-                let within = time_ms <= *deadline;
-                let completed = served.placement.completed();
-                if self.resilient {
-                    if let Some(accelerator) = avoid {
-                        board.on_routed_around(accelerator);
-                    }
-                    board.on_placement(&served.placement, *deadline);
-                }
-                let resolution = if completed && within {
-                    Resolution::Good
-                } else if !within
-                    || served
-                        .placement
-                        .attempts
-                        .records
-                        .iter()
-                        .any(|r| matches!(r.outcome, AttemptOutcome::DeadlineExceeded { .. }))
-                {
-                    Resolution::Late
-                } else {
-                    Resolution::Failed
-                };
-                match resolution {
-                    Resolution::Good => good += 1,
-                    Resolution::Late => late += 1,
-                    Resolution::Failed => failed += 1,
-                    Resolution::Shed => unreachable!("sheds never reach evaluation"),
-                }
-                let attempts = served.placement.attempts.total_attempts();
-                if attempts > 1 {
-                    multi_attempt += 1;
-                    extra_attempts += attempts - 1;
-                }
-                if time_ms.is_finite() {
-                    times.push(time_ms);
-                    // Overdraft against the worst-leg fault-free reference
-                    // (deadline = factor × reference): exactly 0 when the
-                    // run is no slower than a healthy worst-leg deploy.
-                    let reference = *deadline / self.plan.deadline_factor;
-                    if reference.is_finite() && reference > 0.0 {
-                        overdraft_sum += (time_ms / reference - 1.0).max(0.0);
-                    }
-                }
-                let mut parts = vec![
-                    u64::from(round),
-                    slot as u64,
-                    resolution.tag(),
-                    u64::from(served.placement.accelerator() == Accelerator::Gpu),
-                    time_ms.to_bits(),
-                ];
-                parts.extend(
-                    served
-                        .placement
-                        .config
-                        .as_array()
-                        .iter()
-                        .map(|x| x.to_bits()),
-                );
-                digest = fold_digest(digest, &parts);
-            }
-            report.good += good;
-            report.late += late;
-            report.failed += failed;
-            observe(
-                round,
-                &RoundStats {
-                    n,
-                    good,
-                    late,
-                    failed,
-                    shed: 0,
-                    multi_attempt,
-                    extra_attempts,
-                    overdraft_sum,
-                    times: &times[round_times_start..],
-                    breaker_opens: board.total_opens(),
-                    breaker_closes: board.total_closes(),
-                },
-            );
+        let ledger = rounds::run(&mut policy, threads);
+        let [good, late, failed, shed] = ledger.counts;
+        ChaosReport {
+            requests: self.plan.rounds as usize * self.plan.requests_per_round as usize,
+            good,
+            late,
+            failed,
+            shed,
+            p99_ms: ledger.p99_ms(),
+            breaker_opens: policy.board.total_opens(),
+            breaker_closes: policy.board.total_closes(),
+            digest: ledger.digest(),
         }
-
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        report.p99_ms = if times.is_empty() {
-            f64::NAN
-        } else {
-            let rank = ((0.99 * times.len() as f64).ceil() as usize).clamp(1, times.len());
-            times[rank - 1]
-        };
-        report.breaker_opens = board.total_opens();
-        report.breaker_closes = board.total_closes();
-        report.digest = digest;
-        report
     }
 
     /// Executes the plan with live telemetry: a private [`MetricsHub`]
@@ -445,22 +255,15 @@ impl ChaosRunner {
     /// can never false-positive; detectors re-arm at episode boundaries so
     /// an early incident cannot mask a later one.
     ///
-    /// The observer runs in the serial fold, so everything here — the
+    /// The observer runs after the serial fold, so everything here — the
     /// hub's contents, the flagged set, and the embedded report's digest —
     /// is bit-identical at any `threads`.
     pub fn run_telemetry(&self, threads: usize) -> ChaosTelemetry {
         let hub = MetricsHub::new();
-        let outcome = |o: &'static str| {
-            hub.counter(
-                "chaos_requests_total",
-                &[("outcome", o)],
-                "Chaos requests by resolution bucket",
-            )
-        };
-        let good_c = outcome("good");
-        let late_c = outcome("late");
-        let failed_c = outcome("failed");
-        let shed_c = outcome("shed");
+        let outcome_c = ["good", "late", "failed", "shed"].map(|o| {
+            let help = "Chaos requests by resolution bucket";
+            hub.counter("chaos_requests_total", &[("outcome", o)], help)
+        });
         let extra_attempts_c = hub.counter(
             "chaos_extra_attempts_total",
             &[],
@@ -472,24 +275,18 @@ impl ChaosRunner {
             "Simulated completion time of resolved chaos requests",
             &LATENCY_BOUNDS_MS,
         );
-        let opens_g = hub.gauge(
-            "chaos_breaker_opens",
-            &[],
-            "Cumulative circuit-breaker trips",
-        );
-        let closes_g = hub.gauge(
+        let gauge = |name, help| hub.gauge(name, &[], help);
+        let opens_g = gauge("chaos_breaker_opens", "Cumulative circuit-breaker trips");
+        let closes_g = gauge(
             "chaos_breaker_closes",
-            &[],
             "Cumulative circuit-breaker recoveries",
         );
-        let latency_g = hub.gauge(
+        let latency_g = gauge(
             "chaos_latency_overdraft",
-            &[],
             "Mean per-request overdraft vs. the fault-free reference",
         );
-        let outcome_g = hub.gauge(
+        let outcome_g = gauge(
             "chaos_outcome_anomaly",
-            &[],
             "Fraction of requests late, failed, shed, or retried",
         );
 
@@ -505,27 +302,27 @@ impl ChaosRunner {
         let episode_len = self.plan.episode_len.max(1);
         let mut board = HealthBoard::new(u64::from(episode_len));
         let mut flagged = std::collections::BTreeSet::new();
+        let n = self.plan.requests_per_round.max(1) as f64;
 
-        let report = self.run_observed(threads, |round, stats| {
+        let report = self.run_observed(threads, |round, stats, ledger, breakers| {
             if round % episode_len == 0 {
                 latency_det.reset();
                 outcome_det.reset();
             }
-            good_c.add(stats.good as u64);
-            late_c.add(stats.late as u64);
-            failed_c.add(stats.failed as u64);
-            shed_c.add(stats.shed as u64);
+            let (counts, times) = stats.start;
+            let tally: [usize; 4] = std::array::from_fn(|k| ledger.counts[k] - counts[k]);
+            for (counter, k) in outcome_c.iter().zip(tally) {
+                counter.add(k as u64);
+            }
             extra_attempts_c.add(stats.extra_attempts as u64);
-            for &t in stats.times {
+            for &t in &ledger.times[times..] {
                 completion_h.record(t);
             }
-            opens_g.set(stats.breaker_opens as f64);
-            closes_g.set(stats.breaker_closes as f64);
+            opens_g.set(breakers.total_opens() as f64);
+            closes_g.set(breakers.total_closes() as f64);
 
-            let n = stats.n.max(1) as f64;
             let latency_score = stats.overdraft_sum / n;
-            let outcome_score =
-                (stats.late + stats.failed + stats.shed + stats.multi_attempt) as f64 / n;
+            let outcome_score = (tally[1] + tally[2] + tally[3] + stats.multi_attempt) as f64 / n;
             latency_g.set(latency_score);
             outcome_g.set(outcome_score);
             let window = hub.roll();
@@ -566,28 +363,133 @@ impl ChaosRunner {
             hub,
         }
     }
+}
 
-    /// Evaluates one round's slots on the pool, in slot order. Slots are
-    /// pure given the routing snapshot, so which participant computes a
-    /// slot never changes what it resolves to.
-    fn evaluate_round(
-        &self,
-        round: u32,
-        n: usize,
-        avoid: Option<Accelerator>,
-        threads: usize,
-    ) -> Vec<(f64, Served)> {
-        heteromap::par_map(n, threads, |slot| {
-            let (wi, di) = self.plan.request_for(round, slot as u32);
-            let deadline = self.deadline_ms(wi, di);
-            let ctx = WorkloadContext::for_workload(WORKLOADS[wi], DATASETS[di].stats());
-            let opts = if self.resilient {
-                DeployOptions::with_deadline_ms(deadline).avoiding(avoid)
-            } else {
-                DeployOptions::default()
-            };
-            (deadline, self.engine.schedule_context_opts(&ctx, opts))
-        })
+/// One run of a plan: the breaker board, the round's routing snapshot and
+/// tally, and the per-round observer.
+struct ChaosRound<'r, F> {
+    runner: &'r ChaosRunner,
+    board: BreakerBoard,
+    /// Routing snapshot: the accelerator this round's requests avoid.
+    avoid: Option<Accelerator>,
+    stats: RoundStats,
+    observe: F,
+}
+
+impl<F> RoundPolicy for ChaosRound<'_, F>
+where
+    F: FnMut(u32, &RoundStats, &Ledger, &BreakerBoard) + Sync,
+{
+    type Outcome = (f64, Served);
+    const CATEGORY: &'static str = "chaos";
+    const EPISODE_EVENT: &'static str = "chaos.episode";
+
+    fn digest_seed(&self) -> u64 {
+        self.runner.plan.seed ^ 0x5EED_C4A0_5B01_7E55
+    }
+
+    fn episode_len(&self) -> u32 {
+        self.runner.plan.episode_len
+    }
+
+    fn runs(&self, round: u32) -> bool {
+        round < self.runner.plan.rounds
+    }
+
+    /// Installs the episode's fault plan, which empties the engine's cache.
+    fn begin_episode(&mut self, episode: u32) {
+        let plan = &self.runner.plan;
+        let fault_plan = plan.fault_plan_for_round(episode * plan.episode_len.max(1));
+        self.runner.engine.set_fault_plan(fault_plan);
+    }
+
+    fn describe_episode(&self, episode: u32) -> String {
+        format!("event={:?}", self.runner.plan.event_for_episode(episode))
+    }
+
+    /// Snapshots breaker routing. With both breakers open every request is
+    /// shed without evaluation.
+    fn open_round(&mut self, round: u32, ledger: &mut Ledger) -> usize {
+        let runner = self.runner;
+        self.stats = RoundStats {
+            start: (ledger.counts, ledger.times.len()),
+            ..RoundStats::default()
+        };
+        let n = runner.plan.requests_per_round as usize;
+        self.avoid = None;
+        if runner.resilient {
+            if self.board.all_open() {
+                for slot in 0..n {
+                    self.board.on_shed_open();
+                    ledger.resolve(round, slot as u64, Resolution::Shed, []);
+                }
+                return 0;
+            }
+            self.avoid = self.board.route_avoid();
+        }
+        n
+    }
+
+    fn evaluate(&self, round: u32, slot: usize) -> (f64, Served) {
+        let runner = self.runner;
+        let (wi, di) = runner.plan.request_for(round, slot as u32);
+        let deadline = runner.plan.deadline_factor * runner.reference_ms[wi][di];
+        let ctx = WorkloadContext::for_workload(WORKLOADS[wi], DATASETS[di].stats());
+        let opts = if runner.resilient {
+            DeployOptions::with_deadline_ms(deadline).avoiding(self.avoid)
+        } else {
+            DeployOptions::default()
+        };
+        (deadline, runner.engine.schedule_context_opts(&ctx, opts))
+    }
+
+    fn fold(&mut self, round: u32, slot: usize, outcome: (f64, Served), ledger: &mut Ledger) {
+        let (deadline, served) = outcome;
+        let placement = &served.placement;
+        let time_ms = placement.report.time_ms;
+        let within = time_ms <= deadline;
+        if self.runner.resilient {
+            if let Some(accelerator) = self.avoid {
+                self.board.on_routed_around(accelerator);
+            }
+            self.board.on_placement(placement, deadline);
+        }
+        let resolution = if placement.completed() && within {
+            Resolution::Good
+        } else if !within
+            || placement
+                .attempts
+                .records
+                .iter()
+                .any(|r| matches!(r.outcome, AttemptOutcome::DeadlineExceeded { .. }))
+        {
+            Resolution::Late
+        } else {
+            Resolution::Failed
+        };
+        let attempts = placement.attempts.total_attempts();
+        if attempts > 1 {
+            self.stats.multi_attempt += 1;
+            self.stats.extra_attempts += attempts - 1;
+        }
+        if time_ms.is_finite() {
+            ledger.times.push(time_ms);
+            // Overdraft against the worst-leg fault-free reference
+            // (deadline = factor × reference): exactly 0 when the run is no
+            // slower than a healthy worst-leg deploy.
+            let reference = deadline / self.runner.plan.deadline_factor;
+            if reference.is_finite() && reference > 0.0 {
+                self.stats.overdraft_sum += (time_ms / reference - 1.0).max(0.0);
+            }
+        }
+        let gpu = u64::from(placement.accelerator() == Accelerator::Gpu);
+        let config = placement.config.as_array().map(f64::to_bits);
+        let rest = [gpu, time_ms.to_bits()].into_iter().chain(config);
+        ledger.resolve(round, slot as u64, resolution, rest);
+    }
+
+    fn close_round(&mut self, round: u32, ledger: &Ledger) {
+        (self.observe)(round, &self.stats, ledger, &self.board);
     }
 }
 

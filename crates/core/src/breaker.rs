@@ -25,10 +25,9 @@
 use crate::report::Placement;
 use crate::resilient::AttemptOutcome;
 use heteromap_model::Accelerator;
-use serde::{Deserialize, Serialize};
 
 /// Circuit-breaker tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
     /// Consecutive failures that trip a Closed breaker Open.
     pub failure_threshold: u32,
@@ -50,7 +49,7 @@ impl Default for BreakerConfig {
 }
 
 /// The three breaker states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
     /// Requests flow; failures are counted.
     #[default]

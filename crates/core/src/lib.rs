@@ -47,6 +47,7 @@ pub mod framework;
 pub mod online;
 pub mod report;
 pub mod resilient;
+pub mod rounds;
 mod telemetry;
 
 pub use breaker::{BreakerBoard, BreakerConfig, BreakerState, CircuitBreaker};

@@ -3,11 +3,10 @@
 use crate::resilient::AttemptLog;
 use heteromap_accel::SimReport;
 use heteromap_model::{Accelerator, MConfig};
-use serde::{Deserialize, Serialize};
 
 /// One scheduling decision: the predicted machine configuration and the
 /// simulated outcome of deploying it (Fig. 8 steps 2–3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// The predicted machine choices (`M1..M20`).
     pub config: MConfig,
@@ -39,7 +38,7 @@ impl Placement {
 }
 
 /// Aggregated outcome of a chunked (streamed) execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamReport {
     /// Per-chunk placements in temporal order.
     pub chunks: Vec<Placement>,

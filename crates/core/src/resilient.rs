@@ -20,7 +20,6 @@
 
 use heteromap_model::{Accelerator, BVector, IVector, MConfig};
 use heteromap_predict::Predictor;
-use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
 
 /// Retry/backoff policy for transient deploy failures.
@@ -32,7 +31,7 @@ use std::hash::{Hash, Hasher};
 /// `(seed, k)`. Runs are bit-reproducible, while policies with different
 /// seeds spread their waits across the whole envelope instead of
 /// synchronizing into thundering herds on the shared accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum deploy attempts per accelerator (≥ 1) before failing over.
     pub max_attempts: u32,
@@ -117,7 +116,7 @@ impl RetryPolicy {
 
 /// Per-request constraints threaded into the resilient deploy loop by the
 /// serving layer: a completion deadline and circuit-breaker routing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeployOptions {
     /// Total simulated completion budget in milliseconds (predictor
     /// overhead + retries/backoff + the run itself). Attempts whose
@@ -162,7 +161,7 @@ impl DeployOptions {
 }
 
 /// How one deploy attempt ended.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttemptOutcome {
     /// The deploy completed.
     Success,
@@ -200,7 +199,7 @@ pub enum AttemptOutcome {
 }
 
 /// One deploy attempt in the audit trail.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttemptRecord {
     /// The accelerator the attempt targeted.
     pub accelerator: Accelerator,
@@ -321,13 +320,8 @@ impl From<Vec<AttemptRecord>> for AttemptList {
     }
 }
 
-// The vendored serde is a marker-trait stub, so persistence support needs
-// only the marker impls (derive would demand `AttemptRecord: Default`).
-impl Serialize for AttemptList {}
-impl<'de> Deserialize<'de> for AttemptList {}
-
 /// Audit trail of one scheduling decision under faults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AttemptLog {
     /// Every deploy attempt, in temporal order.
     pub records: AttemptList,
@@ -407,7 +401,7 @@ pub fn clamp_config_for(
 
 /// Last resort of the predictor fallback chain: a fixed default
 /// configuration for one accelerator. Always feasible, never trained.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaticDefault {
     /// The accelerator the default routes everything to.
     pub accelerator: Accelerator,

@@ -20,10 +20,8 @@
 //! Jobs caught on failing devices are re-predicted and migrated (the
 //! M-config is re-clamped per target via [`heteromap::clamp_config_for`],
 //! the same path the resilient deploy loop uses), with deadline-aware
-//! shedding under overload. The whole simulation follows the chaos-crate
-//! determinism discipline — simulated time, snapshot-route, parallel slot
-//! evaluation, serial fold — so [`FleetReport::digest`] is bit-identical at
-//! any thread count.
+//! shedding under overload. Rounds run on the [`heteromap::rounds`] engine,
+//! so [`FleetReport::digest`] is bit-identical at any thread count.
 //!
 //! ```
 //! use heteromap_fleet::{Cluster, FleetSim, FleetTrace, Placer};

@@ -1,40 +1,34 @@
-//! The fleet round driver: deterministic co-scheduling of a job trace over
-//! a cluster at any thread count.
+//! The fleet round driver: a job trace co-scheduled over a cluster as a
+//! policy over [`heteromap::rounds`].
 //!
-//! The loop follows the chaos-crate discipline (`heteromap-chaos`):
-//!
-//! 1. **Simulated time only.** Rounds advance a fixed tick of simulated
-//!    milliseconds derived from the trace's offered load; completions,
-//!    queues and deadlines all live on that clock.
-//! 2. **Snapshot-route.** Device health is fixed per episode, and breaker
-//!    state is only read/updated in the serial phase, so routing inputs
-//!    never race.
-//! 3. **Parallel slot evaluation.** Each pending job's outcome *on every
-//!    device* (attempt-by-attempt transient draws, wasted charge, clean run
-//!    time) is a pure function of `(trace seed, job uid, device id,
-//!    episode health)`; worker threads only decide *who* computes a slot,
-//!    never *what* it resolves to.
-//! 4. **Serial fold.** Placement decisions, queue commits, breaker
-//!    evolution, migrations and the completion digest happen in one serial
-//!    pass in slot order.
+//! Rounds advance a fixed tick of simulated milliseconds derived from the
+//! trace's offered load; completions, queues and deadlines all live on that
+//! clock. Device health is fixed per episode. Each round opens serially:
+//! migrated jobs re-enter ahead of the round's arrivals, and the placer
+//! picks every pending job's device (or sheds it) from the current queues,
+//! breakers and drift penalties. The engine then evaluates each placed
+//! job's attempts on its device in parallel, a pure function of `(trace
+//! seed, job uid, device, episode health)`, and folds the outcomes in slot
+//! order into queues, breakers, migrations and the digest. An end-of-round
+//! health pass feeds each device's migration rate to its drift detector.
 //!
 //! The digest chains every `(round, uid, resolution, device, finish,
-//! config)` through one hasher, so two runs agree on the digest iff they
-//! agreed on every single job — the bench asserts it is bit-identical at
-//! 1, 4 and 16 threads.
+//! config)`, so two runs agree on the digest iff they agreed on every
+//! single job — the bench asserts it is bit-identical at 1, 4 and 16
+//! threads.
 
 use crate::cluster::Cluster;
 use crate::placer::{best_candidate, evolve_batch, BatchJob, Placer};
 use crate::trace::{FleetTrace, DATASETS, WORKLOADS};
+use heteromap::rounds::{self, Ledger, Resolution, RoundPolicy};
 use heteromap::{clamp_config_for, BreakerConfig, CircuitBreaker, HeteroMap};
 use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::{DeployError, FaultState, Occupancy};
-use heteromap_model::{fold_digest, MConfig};
+use heteromap_model::{seeded_draw, MConfig};
 use heteromap_obs::metrics::{
     Counter, DriftConfig, Gauge, HealthBoard, SeriesDetector, SignalKind,
 };
 use heteromap_tune::{mix, PLACEMENT_SLOTS};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Deploy attempts per device before a job gives up and migrates.
@@ -48,31 +42,6 @@ const EVOLVE_BUDGET: usize = 56;
 /// load drains away before the circuit breaker has to trip.
 const DRIFT_PENALTY: f64 = 0.3;
 
-/// How one job resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resolution {
-    /// Completed within its deadline.
-    Good,
-    /// Completed outside its deadline.
-    Late,
-    /// Gave up: migration budget exhausted (or the run was cut off).
-    Failed,
-    /// Dropped by deadline-aware shedding or because no device was
-    /// targetable.
-    Shed,
-}
-
-impl Resolution {
-    fn tag(self) -> u64 {
-        match self {
-            Resolution::Good => 1,
-            Resolution::Late => 2,
-            Resolution::Failed => 3,
-            Resolution::Shed => 4,
-        }
-    }
-}
-
 /// Digest tag for a migration re-queue (jobs resolve later).
 const MIGRATE_TAG: u64 = 5;
 
@@ -80,8 +49,8 @@ const MIGRATE_TAG: u64 = 5;
 #[derive(Debug, Clone, Copy)]
 struct PendingJob {
     uid: u64,
-    wi: usize,
-    di: usize,
+    /// Index into the simulator's per-combo tables.
+    combo: usize,
     arrival_ms: f64,
     deadline_abs_ms: f64,
     migrations: u32,
@@ -244,10 +213,6 @@ impl FleetSim {
         self.tick_ms
     }
 
-    fn combo(&self, wi: usize, di: usize) -> usize {
-        wi * DATASETS.len() + di
-    }
-
     /// Recomputes the per-combo × per-device quote table for one episode:
     /// the base prediction re-clamped for each device's role and surviving
     /// fraction (the same [`clamp_config_for`] path the resilient deploy
@@ -287,488 +252,423 @@ impl FleetSim {
     /// The digest (and every count) is a pure function of the trace — rerun
     /// with any thread count and it must match bit for bit.
     pub fn run(&self, threads: usize) -> FleetReport {
-        let threads = threads.max(1);
         let n_dev = self.cluster.len();
-        let predictor_driven = self.placer.is_predictor_driven();
-        let mut occ = vec![Occupancy::new(); n_dev];
-        let mut breakers: Vec<CircuitBreaker> = self
-            .cluster
-            .devices()
-            .iter()
-            .map(|d| CircuitBreaker::new(d.role(), BreakerConfig::default()))
-            .collect();
-        let mut states = vec![FaultState::Healthy; n_dev];
-        let mut quotes: Vec<Vec<Quote>> = Vec::new();
-        let mut pending: Vec<PendingJob> = Vec::new();
-        let mut requeue: Vec<PendingJob> = Vec::new();
-        let mut times: Vec<f64> = Vec::new();
-        let mut digest: u64 = self.trace.seed ^ 0xF1EE_7C4A_0D1E_5E57;
-        let mut uid: u64 = 0;
-        let mut rr_cursor: usize = 0;
-
         // Per-device drift detection feeding the predictor-driven placers:
         // the migration rate off a healthy device is exactly 0, so the
         // detectors are armed at baseline 0 and re-armed every episode.
-        // A raised signal inflates the device's quotes by [`DRIFT_PENALTY`]
-        // until it expires — soft avoidance ahead of the breaker's hard cut.
         let detector_cfg = DriftConfig {
             min_band: 0.05,
             baseline: Some(0.0),
             ..DriftConfig::upward()
         };
-        let mut detectors: Vec<SeriesDetector> = vec![SeriesDetector::new(detector_cfg); n_dev];
-        let mut health = HealthBoard::new(u64::from(self.trace.episode_len.max(1)));
-        let device_keys: Vec<String> = (0..n_dev).map(|d| format!("device/{d}")).collect();
-        let mut penalties = vec![1.0f64; n_dev];
-        let mut placed_on = vec![0u64; n_dev];
-        let mut migrations_off = vec![0u64; n_dev];
-
-        // Numeric telemetry to the global hub, only when enabled; recording
-        // happens exclusively in the serial phases, so enabling metrics
-        // cannot perturb the digest.
-        let hub_series = heteromap_obs::metrics_enabled().then(|| HubSeries::new(n_dev));
-        let mut report = FleetReport {
-            jobs: 0,
-            good: 0,
-            late: 0,
-            failed: 0,
-            shed: 0,
-            migrations: 0,
-            p99_ms: f64::NAN,
-            jobs_per_sec: f64::NAN,
-            span_ms: 0.0,
-            avg_utilization: 0.0,
-            breaker_opens: 0,
-            breaker_closes: 0,
-            drift_signals: 0,
-            digest: 0,
-        };
-
-        let drain_limit = self.trace.rounds + self.trace.max_migrations + 4;
-        let mut rounds_driven = 0u32;
-        let mut round = 0u32;
-        while round < self.trace.rounds || !pending.is_empty() || !requeue.is_empty() {
-            if round >= drain_limit {
-                break;
-            }
-            let now_ms = f64::from(round) * self.tick_ms;
-            let episode_len = self.trace.episode_len.max(1);
-            if round.is_multiple_of(episode_len) || quotes.is_empty() {
-                let episode = self.trace.episode_of(round);
-                for (d, state) in states.iter_mut().enumerate() {
-                    *state = self.trace.fault_for(d, episode);
-                }
-                quotes = self.quotes_for(&states);
-                // New episode, new fault regime: re-arm the drift detectors
-                // so an earlier incident cannot mask this episode's.
-                for det in detectors.iter_mut() {
-                    det.reset();
-                }
-                heteromap_obs::event("fleet.episode", || {
-                    let down = states.iter().filter(|s| **s == FaultState::Down).count();
-                    let healthy = states.iter().filter(|s| s.is_healthy()).count();
-                    format!(
-                        "episode={episode} round={round} healthy={healthy} down={down} of {n_dev}"
-                    )
-                });
-            }
-
-            // Migrated jobs re-enter ahead of this round's arrivals.
-            if !requeue.is_empty() {
-                let _span = heteromap_obs::span_cat("fleet.migrate", "fleet");
-                pending.append(&mut requeue);
-            }
-            for k in 0..self.trace.arrivals(round) {
-                let (wi, di) = self.trace.job_for(round, k);
-                let combo = self.combo(wi, di);
-                pending.push(PendingJob {
-                    uid,
-                    wi,
-                    di,
-                    arrival_ms: now_ms,
-                    deadline_abs_ms: now_ms + self.trace.deadline_factor * self.ref_ms[combo],
-                    migrations: 0,
-                });
-                uid += 1;
-                report.jobs += 1;
-            }
-            if pending.is_empty() {
-                round += 1;
-                continue;
-            }
-            rounds_driven = round + 1;
-            let _round_span = heteromap_obs::span_cat("fleet.round", "fleet");
-
-            // Parallel slot evaluation: every pending job's drawn outcome on
-            // every device. Pure per slot; workers only claim indices.
-            let outcomes = {
-                let _span = heteromap_obs::span_cat("fleet.eval", "fleet");
-                self.evaluate_slots(&pending, &quotes, &states, threads)
-            };
-
-            // Serial place-and-fold in slot order.
-            let _span = heteromap_obs::span_cat("fleet.place", "fleet");
-            let decisions = self.place(
-                &pending,
-                &quotes,
-                &states,
-                &occ,
-                &breakers,
-                &penalties,
-                now_ms,
-                round,
-                &mut rr_cursor,
-            );
-            for (slot, job) in pending.iter().enumerate() {
-                let combo = self.combo(job.wi, job.di);
-                match decisions[slot] {
-                    None => {
-                        // Shed: unplaceable or hopelessly late.
-                        report.shed += 1;
-                        if let Some(hub) = &hub_series {
-                            hub.shed.inc();
-                        }
-                        if predictor_driven {
-                            for b in breakers.iter_mut() {
-                                b.on_shed();
-                            }
-                        }
-                        heteromap_obs::event("fleet.shed", || {
-                            format!(
-                                "uid={} round={round} migrations={}",
-                                job.uid, job.migrations
-                            )
-                        });
-                        digest = fold_digest(
-                            digest,
-                            &[u64::from(round), job.uid, Resolution::Shed.tag(), 0],
-                        );
-                    }
-                    Some(device) => {
-                        let outcome = outcomes[slot][device];
-                        let quote = &quotes[combo][device];
-                        let work = outcome.charge_ms + outcome.run_ms;
-                        let (_start, finish) = occ[device].admit(now_ms, work);
-                        placed_on[device] += 1;
-                        if predictor_driven {
-                            for (d, b) in breakers.iter_mut().enumerate() {
-                                if d == device {
-                                    b.on_outcome(outcome.success);
-                                } else {
-                                    b.on_shed();
-                                }
-                            }
-                        }
-                        let mut parts = vec![
-                            u64::from(round),
-                            job.uid,
-                            device as u64 + 1,
-                            finish.to_bits(),
-                            outcome.charge_ms.to_bits(),
-                        ];
-                        if outcome.success {
-                            let sojourn = finish - job.arrival_ms;
-                            times.push(sojourn);
-                            let resolution = if finish <= job.deadline_abs_ms {
-                                report.good += 1;
-                                Resolution::Good
-                            } else {
-                                report.late += 1;
-                                Resolution::Late
-                            };
-                            if let Some(hub) = &hub_series {
-                                match resolution {
-                                    Resolution::Good => hub.good.inc(),
-                                    _ => hub.late.inc(),
-                                }
-                            }
-                            parts.insert(2, resolution.tag());
-                            parts.extend(quote.cfg.as_array().iter().map(|x| x.to_bits()));
-                        } else if job.migrations < self.trace.max_migrations {
-                            // The device failed under the job: re-predict
-                            // and migrate next round (the quote table
-                            // re-clamps the M-config for whatever device
-                            // the next placement picks).
-                            report.migrations += 1;
-                            migrations_off[device] += 1;
-                            if let Some(hub) = &hub_series {
-                                hub.migrations.inc();
-                            }
-                            let mut moved = *job;
-                            moved.migrations += 1;
-                            requeue.push(moved);
-                            parts.insert(2, MIGRATE_TAG);
-                            heteromap_obs::event("fleet.migrate", || {
-                                format!(
-                                    "uid={} round={round} off_device={device} migrations={}",
-                                    job.uid, moved.migrations
-                                )
-                            });
-                        } else {
-                            report.failed += 1;
-                            if let Some(hub) = &hub_series {
-                                hub.failed.inc();
-                            }
-                            parts.insert(2, Resolution::Failed.tag());
-                        }
-                        digest = fold_digest(digest, &parts);
-                    }
-                }
-            }
-            pending.clear();
-
-            // End-of-round health pass (serial): fold each device's
-            // migration rate into its drift detector, refresh the penalty
-            // table for next round's placement, and mirror gauges to the
-            // global hub.
-            if predictor_driven {
-                let window = u64::from(round) + 1;
-                for d in 0..n_dev {
-                    let rate = migrations_off[d] as f64 / placed_on[d].max(1) as f64;
-                    let verdict = detectors[d].observe(rate);
-                    if verdict.drift {
-                        health.raise(
-                            &device_keys[d],
-                            SignalKind::OutcomeAnomaly,
-                            window,
-                            verdict.score,
-                        );
-                        report.drift_signals += 1;
-                        if let Some(hub) = &hub_series {
-                            hub.drift.inc();
-                        }
-                        let key = &device_keys[d];
-                        heteromap_obs::event("fleet.drift", || {
-                            format!(
-                                "key={key} round={round} rate={rate:.3} score={:.3}",
-                                verdict.score
-                            )
-                        });
-                    }
-                    migrations_off[d] = 0;
-                    placed_on[d] = 0;
-                }
-                health.expire(window);
-                for d in 0..n_dev {
-                    penalties[d] = if health.is_flagged(&device_keys[d]) {
-                        1.0 + DRIFT_PENALTY
-                    } else {
-                        1.0
-                    };
-                }
-            }
-            if let Some(hub) = &hub_series {
-                let span_so_far = (f64::from(round) + 1.0) * self.tick_ms;
-                for (d, o) in occ.iter().enumerate() {
-                    hub.util[d].set(o.utilization(span_so_far));
-                    hub.queue_depth[d].set((o.free_at_ms() - now_ms).max(0.0));
-                }
-            }
-            round += 1;
-        }
-        // Safety net for the drain cap: anything still pending failed.
-        for job in pending.iter().chain(requeue.iter()) {
-            report.failed += 1;
-            digest = fold_digest(
-                digest,
-                &[u64::from(round), job.uid, Resolution::Failed.tag()],
-            );
-        }
-
-        let horizon_ms = f64::from(rounds_driven) * self.tick_ms;
-        let makespan_ms = occ.iter().map(|o| o.free_at_ms()).fold(0.0, f64::max);
-        report.span_ms = horizon_ms.max(makespan_ms);
-        report.avg_utilization = if report.span_ms > 0.0 {
-            occ.iter()
-                .map(|o| o.utilization(report.span_ms))
-                .sum::<f64>()
-                / n_dev as f64
-        } else {
-            0.0
-        };
-        report.jobs_per_sec = if report.span_ms > 0.0 {
-            report.good as f64 * 1000.0 / report.span_ms
-        } else {
-            f64::NAN
-        };
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite sojourns"));
-        report.p99_ms = if times.is_empty() {
-            f64::NAN
-        } else {
-            let rank = ((0.99 * times.len() as f64).ceil() as usize).clamp(1, times.len());
-            times[rank - 1]
-        };
-        report.breaker_opens = breakers.iter().map(|b| b.opens()).sum();
-        report.breaker_closes = breakers.iter().map(|b| b.closes()).sum();
-        report.digest = digest;
-        report
-    }
-
-    /// Evaluates every pending job's outcome on every device on the pool,
-    /// in slot order. Slots are pure given the episode snapshot, so which
-    /// participant computes a slot never changes what it resolves to.
-    fn evaluate_slots(
-        &self,
-        pending: &[PendingJob],
-        quotes: &[Vec<Quote>],
-        states: &[FaultState],
-        threads: usize,
-    ) -> Vec<Vec<DeviceOutcome>> {
-        heteromap::par_map(pending.len(), threads, |slot| {
-            let job = &pending[slot];
-            let combo = self.combo(job.wi, job.di);
-            self.cluster
+        let mut policy = FleetRound {
+            sim: self,
+            states: vec![FaultState::Healthy; n_dev],
+            quotes: Vec::new(),
+            occ: vec![Occupancy::new(); n_dev],
+            breakers: self
+                .cluster
                 .devices()
                 .iter()
-                .map(|device| {
-                    self.resolve_on(
-                        &self.base[combo].0,
-                        &quotes[combo][device.id],
-                        states[device.id],
-                        device.id,
-                        job,
-                    )
-                })
-                .collect()
-        })
+                .map(|d| CircuitBreaker::new(d.role(), BreakerConfig::default()))
+                .collect(),
+            pending: Vec::new(),
+            requeue: Vec::new(),
+            decisions: Vec::new(),
+            now_ms: 0.0,
+            jobs: 0,
+            rr_cursor: 0,
+            rounds_driven: 0,
+            migrations: 0,
+            detectors: vec![SeriesDetector::new(detector_cfg); n_dev],
+            health: HealthBoard::new(u64::from(self.trace.episode_len.max(1))),
+            device_keys: (0..n_dev).map(|d| format!("device/{d}")).collect(),
+            penalties: vec![1.0; n_dev],
+            placed_on: vec![0; n_dev],
+            migrations_off: vec![0; n_dev],
+            // Recording happens only in the serial phases, so enabling
+            // metrics cannot perturb the digest.
+            hub: heteromap_obs::metrics_enabled().then(|| HubSeries::new(n_dev)),
+        };
+        let mut ledger = rounds::run(&mut policy, threads);
+        // Safety net for the drain cap: anything still queued failed.
+        for job in &policy.requeue {
+            ledger.resolve(self.drain_limit(), job.uid, Resolution::Failed, []);
+        }
+
+        let occ = &policy.occ;
+        let horizon_ms = f64::from(policy.rounds_driven) * self.tick_ms;
+        let makespan_ms = occ.iter().map(|o| o.free_at_ms()).fold(0.0, f64::max);
+        let span_ms = horizon_ms.max(makespan_ms);
+        let positive = span_ms > 0.0;
+        let [good, late, failed, shed] = ledger.counts;
+        FleetReport {
+            jobs: policy.jobs,
+            good,
+            late,
+            failed,
+            shed,
+            migrations: policy.migrations,
+            p99_ms: ledger.p99_ms(),
+            jobs_per_sec: if positive {
+                good as f64 * 1000.0 / span_ms
+            } else {
+                f64::NAN
+            },
+            span_ms,
+            avg_utilization: if positive {
+                occ.iter().map(|o| o.utilization(span_ms)).sum::<f64>() / n_dev as f64
+            } else {
+                0.0
+            },
+            breaker_opens: policy.breakers.iter().map(|b| b.opens()).sum(),
+            breaker_closes: policy.breakers.iter().map(|b| b.closes()).sum(),
+            drift_signals: policy.health.raised_count(),
+            digest: ledger.digest(),
+        }
     }
 
-    /// Resolves one (job, device) pair: up to [`MAX_ATTEMPTS`] attempts
-    /// with deterministic per-attempt transient draws, charging the wasted
-    /// partial runs.
-    fn resolve_on(
-        &self,
-        ctx: &WorkloadContext,
-        quote: &Quote,
-        state: FaultState,
-        device_id: usize,
-        job: &PendingJob,
-    ) -> DeviceOutcome {
-        let device = &self.cluster.devices()[device_id];
-        let mut charge_ms = 0.0;
+    /// The round at which a run stops draining migrated jobs.
+    fn drain_limit(&self) -> u32 {
+        self.trace.rounds + self.trace.max_migrations + 4
+    }
+}
+
+/// One run of a trace: episode health and quotes, device queues and
+/// breakers, the job queues, and the per-device drift detection whose
+/// penalties steer the predictor-driven placers.
+struct FleetRound<'s> {
+    sim: &'s FleetSim,
+    /// This episode's health per device.
+    states: Vec<FaultState>,
+    /// This episode's quote per combo per device.
+    quotes: Vec<Vec<Quote>>,
+    occ: Vec<Occupancy>,
+    breakers: Vec<CircuitBreaker>,
+    /// This round's jobs, in slot order.
+    pending: Vec<PendingJob>,
+    /// Jobs migrated this round; they re-enter ahead of the next arrivals.
+    requeue: Vec<PendingJob>,
+    /// The placer's pick per pending slot (`None` sheds the job).
+    decisions: Vec<Option<usize>>,
+    now_ms: f64,
+    /// Jobs generated so far, which is also the next job's uid.
+    jobs: usize,
+    rr_cursor: usize,
+    /// One past the last round that placed work.
+    rounds_driven: u32,
+    migrations: u64,
+    detectors: Vec<SeriesDetector>,
+    health: HealthBoard,
+    device_keys: Vec<String>,
+    /// Quote multiplier per device: [`DRIFT_PENALTY`] extra while its
+    /// health signal is raised, a soft avoidance ahead of the breaker's
+    /// hard cut.
+    penalties: Vec<f64>,
+    /// This round's placements and migrations per device.
+    placed_on: Vec<u64>,
+    migrations_off: Vec<u64>,
+    hub: Option<HubSeries>,
+}
+
+impl RoundPolicy for FleetRound<'_> {
+    type Outcome = Option<(usize, DeviceOutcome)>;
+    const CATEGORY: &'static str = "fleet";
+    const EPISODE_EVENT: &'static str = "fleet.episode";
+
+    fn digest_seed(&self) -> u64 {
+        self.sim.trace.seed ^ 0xF1EE_7C4A_0D1E_5E57
+    }
+
+    fn episode_len(&self) -> u32 {
+        self.sim.trace.episode_len
+    }
+
+    fn runs(&self, round: u32) -> bool {
+        round < self.sim.drain_limit()
+            && (round < self.sim.trace.rounds || !self.requeue.is_empty())
+    }
+
+    /// Re-draws device health and the quote table, and re-arms the drift
+    /// detectors so an earlier incident cannot mask this episode's.
+    fn begin_episode(&mut self, episode: u32) {
+        for (d, state) in self.states.iter_mut().enumerate() {
+            *state = self.sim.trace.fault_for(d, episode);
+        }
+        self.quotes = self.sim.quotes_for(&self.states);
+        for det in self.detectors.iter_mut() {
+            det.reset();
+        }
+    }
+
+    fn describe_episode(&self, _episode: u32) -> String {
+        let down = self
+            .states
+            .iter()
+            .filter(|s| **s == FaultState::Down)
+            .count();
+        let healthy = self.states.iter().filter(|s| s.is_healthy()).count();
+        format!("healthy={healthy} down={down} of {}", self.states.len())
+    }
+
+    /// Queues migrated jobs ahead of this round's arrivals and places them.
+    fn open_round(&mut self, round: u32, _ledger: &mut Ledger) -> usize {
+        let sim = self.sim;
+        self.now_ms = f64::from(round) * sim.tick_ms;
+        if !self.requeue.is_empty() {
+            let _span = heteromap_obs::span_cat("fleet.migrate", "fleet");
+            self.pending.append(&mut self.requeue);
+        }
+        for k in 0..sim.trace.arrivals(round) {
+            let (wi, di) = sim.trace.job_for(round, k);
+            let combo = wi * DATASETS.len() + di;
+            self.pending.push(PendingJob {
+                uid: self.jobs as u64,
+                combo,
+                arrival_ms: self.now_ms,
+                deadline_abs_ms: self.now_ms + sim.trace.deadline_factor * sim.ref_ms[combo],
+                migrations: 0,
+            });
+            self.jobs += 1;
+        }
+        if self.pending.is_empty() {
+            return 0;
+        }
+        self.rounds_driven = round + 1;
+        self.decisions = self.place(round);
+        self.pending.len()
+    }
+
+    /// Runs the slot's job on its placed device: up to [`MAX_ATTEMPTS`]
+    /// attempts with deterministic per-attempt transient draws, charging
+    /// the wasted partial runs.
+    fn evaluate(&self, _round: u32, slot: usize) -> Option<(usize, DeviceOutcome)> {
+        let (job, sim) = (&self.pending[slot], self.sim);
+        let device = self.decisions[slot]?;
+        let mut outcome = DeviceOutcome {
+            success: false,
+            run_ms: 0.0,
+            charge_ms: 0.0,
+        };
         for attempt in 0..MAX_ATTEMPTS {
-            match device.try_run_attempt(
-                self.cluster.model(),
-                ctx,
-                &quote.cfg,
-                state,
-                self.trace.seed,
+            match sim.cluster.devices()[device].try_run_attempt(
+                sim.cluster.model(),
+                &sim.base[job.combo].0,
+                &self.quotes[job.combo][device].cfg,
+                self.states[device],
+                sim.trace.seed,
                 job.uid,
                 attempt,
             ) {
                 Ok(run) => {
-                    return DeviceOutcome {
-                        success: true,
-                        run_ms: run.time_ms,
-                        charge_ms,
-                    }
+                    (outcome.success, outcome.run_ms) = (true, run.time_ms);
+                    break;
                 }
                 Err(DeployError::TransientFailure {
                     failed_after_ms, ..
-                }) => {
-                    charge_ms += failed_after_ms;
-                }
+                }) => outcome.charge_ms += failed_after_ms,
                 Err(_) => break,
             }
         }
-        DeviceOutcome {
-            success: false,
-            run_ms: 0.0,
-            charge_ms,
+        Some((device, outcome))
+    }
+
+    fn fold(&mut self, round: u32, slot: usize, outcome: Self::Outcome, ledger: &mut Ledger) {
+        let job = self.pending[slot];
+        let predictor_driven = self.sim.placer.is_predictor_driven();
+        let Some((device, outcome)) = outcome else {
+            // Shed: unplaceable or hopelessly late.
+            if predictor_driven {
+                for b in self.breakers.iter_mut() {
+                    b.on_shed();
+                }
+            }
+            heteromap_obs::event("fleet.shed", || {
+                format!(
+                    "uid={} round={round} migrations={}",
+                    job.uid, job.migrations
+                )
+            });
+            self.resolve(ledger, round, job.uid, Resolution::Shed, [0]);
+            return;
+        };
+        let work = outcome.charge_ms + outcome.run_ms;
+        let (_start, finish) = self.occ[device].admit(self.now_ms, work);
+        self.placed_on[device] += 1;
+        if predictor_driven {
+            for (d, b) in self.breakers.iter_mut().enumerate() {
+                if d == device {
+                    b.on_outcome(outcome.success);
+                } else {
+                    b.on_shed();
+                }
+            }
+        }
+        let rest = [
+            device as u64 + 1,
+            finish.to_bits(),
+            outcome.charge_ms.to_bits(),
+        ];
+        if outcome.success {
+            ledger.times.push(finish - job.arrival_ms);
+            let resolution = if finish <= job.deadline_abs_ms {
+                Resolution::Good
+            } else {
+                Resolution::Late
+            };
+            let config = self.quotes[job.combo][device]
+                .cfg
+                .as_array()
+                .map(f64::to_bits);
+            self.resolve(
+                ledger,
+                round,
+                job.uid,
+                resolution,
+                rest.into_iter().chain(config),
+            );
+        } else if job.migrations < self.sim.trace.max_migrations {
+            // The device failed under the job: re-predict and migrate next
+            // round (the quote table re-clamps the M-config for whatever
+            // device the next placement picks).
+            self.migrations += 1;
+            self.migrations_off[device] += 1;
+            if let Some(hub) = &self.hub {
+                hub.migrations.inc();
+            }
+            let moved = PendingJob {
+                migrations: job.migrations + 1,
+                ..job
+            };
+            self.requeue.push(moved);
+            ledger.chain(round, job.uid, MIGRATE_TAG, rest);
+            heteromap_obs::event("fleet.migrate", || {
+                format!(
+                    "uid={} round={round} off_device={device} migrations={}",
+                    job.uid, moved.migrations
+                )
+            });
+        } else {
+            self.resolve(ledger, round, job.uid, Resolution::Failed, rest);
         }
     }
 
-    /// The serial placement decision for every pending slot: `Some(device)`
-    /// or `None` (shed). Naive placers never shed; predictor-driven
-    /// placers filter Down devices and open breakers and shed jobs whose
-    /// best predicted finish busts the deadline.
-    #[allow(clippy::too_many_arguments)]
-    fn place(
+    /// The end-of-round health pass of a round that placed work: fold each
+    /// device's migration rate into its drift detector, refresh the
+    /// penalty table for next round's placement, and mirror gauges to the
+    /// global hub.
+    fn close_round(&mut self, round: u32, _ledger: &Ledger) {
+        if self.pending.is_empty() {
+            return;
+        }
+        self.pending.clear();
+        if self.sim.placer.is_predictor_driven() {
+            let window = u64::from(round) + 1;
+            for d in 0..self.detectors.len() {
+                let rate = self.migrations_off[d] as f64 / self.placed_on[d].max(1) as f64;
+                let verdict = self.detectors[d].observe(rate);
+                if verdict.drift {
+                    let key = &self.device_keys[d];
+                    self.health
+                        .raise(key, SignalKind::OutcomeAnomaly, window, verdict.score);
+                    if let Some(hub) = &self.hub {
+                        hub.drift.inc();
+                    }
+                    heteromap_obs::event("fleet.drift", || {
+                        format!(
+                            "key={key} round={round} rate={rate:.3} score={:.3}",
+                            verdict.score
+                        )
+                    });
+                }
+                self.migrations_off[d] = 0;
+                self.placed_on[d] = 0;
+            }
+            self.health.expire(window);
+            for (penalty, key) in self.penalties.iter_mut().zip(&self.device_keys) {
+                *penalty = if self.health.is_flagged(key) {
+                    1.0 + DRIFT_PENALTY
+                } else {
+                    1.0
+                };
+            }
+        }
+        if let Some(hub) = &self.hub {
+            let span_so_far = (f64::from(round) + 1.0) * self.sim.tick_ms;
+            for (d, o) in self.occ.iter().enumerate() {
+                hub.util[d].set(o.utilization(span_so_far));
+                hub.queue_depth[d].set((o.free_at_ms() - self.now_ms).max(0.0));
+            }
+        }
+    }
+}
+
+impl FleetRound<'_> {
+    /// [`Ledger::resolve`], mirrored to the global hub when it is on.
+    fn resolve(
         &self,
-        pending: &[PendingJob],
-        quotes: &[Vec<Quote>],
-        states: &[FaultState],
-        occ: &[Occupancy],
-        breakers: &[CircuitBreaker],
-        penalties: &[f64],
-        now_ms: f64,
+        ledger: &mut Ledger,
         round: u32,
-        rr_cursor: &mut usize,
-    ) -> Vec<Option<usize>> {
-        let n_dev = self.cluster.len();
-        match self.placer {
-            Placer::Random => pending
+        uid: u64,
+        resolution: Resolution,
+        rest: impl IntoIterator<Item = u64>,
+    ) {
+        if let Some(hub) = &self.hub {
+            hub.outcomes[resolution as usize].inc();
+        }
+        ledger.resolve(round, uid, resolution, rest);
+    }
+
+    /// The placement decision for every pending slot: `Some(device)` or
+    /// `None` (shed). Naive placers never shed; predictor-driven placers
+    /// filter Down devices and open breakers and shed jobs whose best
+    /// predicted finish busts the deadline.
+    fn place(&mut self, round: u32) -> Vec<Option<usize>> {
+        let sim = self.sim;
+        let n_dev = self.occ.len();
+        match sim.placer {
+            Placer::Random => self
+                .pending
                 .iter()
                 .map(|job| {
-                    let mut h = heteromap_model::StableHasher::new();
-                    self.trace.seed.hash(&mut h);
-                    job.uid.hash(&mut h);
-                    0x31_u8.hash(&mut h);
-                    Some((h.finish() % n_dev as u64) as usize)
+                    Some((seeded_draw(sim.trace.seed, job.uid, 0x31_u8) % n_dev as u64) as usize)
                 })
                 .collect(),
-            Placer::RoundRobin => pending
-                .iter()
-                .map(|_| {
-                    let device = *rr_cursor % n_dev;
-                    *rr_cursor += 1;
-                    Some(device)
-                })
-                .collect(),
-            Placer::Greedy => {
-                let mut free: Vec<f64> = occ.iter().map(|o| o.free_at_ms()).collect();
-                pending
-                    .iter()
-                    .map(|job| {
-                        let batch = self.batch_view(job, quotes, states, breakers, penalties);
-                        let job_view = batch?;
-                        let pick = best_candidate(&job_view, &free, now_ms);
-                        let device = job_view.allowed[pick];
-                        let finish = free[device].max(now_ms) + job_view.expected_ms[pick];
-                        if finish > job.deadline_abs_ms {
-                            return None; // deadline-aware shed
-                        }
-                        free[device] = finish;
-                        Some(device)
-                    })
-                    .collect()
+            Placer::RoundRobin => {
+                let first = self.rr_cursor;
+                self.rr_cursor += self.pending.len();
+                (first..self.rr_cursor).map(|k| Some(k % n_dev)).collect()
             }
+            Placer::Greedy => self
+                .greedy_pass()
+                .into_iter()
+                .map(|admitted| admitted.map(|(view, pick)| view.allowed[pick]))
+                .collect(),
             Placer::Evolution => {
-                let mut free: Vec<f64> = occ.iter().map(|o| o.free_at_ms()).collect();
-                let mut decisions: Vec<Option<usize>> = vec![None; pending.len()];
-                // Shadow greedy pre-pass: shed exactly the jobs sequential
-                // greedy would shed (against an evolving queue estimate), so
-                // the batch search only ever re-places the same admitted
-                // set — its incumbent guard then makes it no worse than
-                // greedy on the batch cost.
-                let mut shadow = free.clone();
-                let mut batch: Vec<(usize, BatchJob)> = Vec::new();
-                for (slot, job) in pending.iter().enumerate() {
-                    let Some(view) = self.batch_view(job, quotes, states, breakers, penalties)
-                    else {
-                        continue;
-                    };
-                    let pick = best_candidate(&view, &shadow, now_ms);
-                    let device = view.allowed[pick];
-                    let finish = shadow[device].max(now_ms) + view.expected_ms[pick];
-                    if finish > job.deadline_abs_ms {
-                        continue; // deadline-aware shed
-                    }
-                    shadow[device] = finish;
-                    batch.push((slot, view));
-                }
+                // The greedy pass sheds exactly the jobs sequential greedy
+                // would shed, so the batch search only ever re-places the
+                // same admitted set — its incumbent guard then makes it no
+                // worse than greedy on the batch cost.
+                let batch: Vec<(usize, BatchJob)> = self
+                    .greedy_pass()
+                    .into_iter()
+                    .enumerate()
+                    .filter_map(|(slot, admitted)| admitted.map(|(view, _)| (slot, view)))
+                    .collect();
                 // Chunked placement-vector search, committing queue state
                 // between chunks.
+                let mut free = self.free_at();
+                let mut decisions = vec![None; self.pending.len()];
                 for (chunk_idx, chunk) in batch.chunks(PLACEMENT_SLOTS).enumerate() {
                     let jobs: Vec<BatchJob> = chunk.iter().map(|(_, v)| v.clone()).collect();
                     let seed = mix(
-                        self.trace.seed ^ 0x0E60_17E5,
+                        sim.trace.seed ^ 0x0E60_17E5,
                         (u64::from(round) << 8) | chunk_idx as u64,
                     );
-                    let picks = evolve_batch(&jobs, &free, now_ms, seed, EVOLVE_BUDGET);
+                    let picks = evolve_batch(&jobs, &free, self.now_ms, seed, EVOLVE_BUDGET);
                     for ((slot, view), pick) in chunk.iter().zip(picks) {
                         let device = view.allowed[pick];
-                        free[device] = free[device].max(now_ms) + view.expected_ms[pick];
+                        free[device] = free[device].max(self.now_ms) + view.expected_ms[pick];
                         decisions[*slot] = Some(device);
                     }
                 }
@@ -777,31 +677,49 @@ impl FleetSim {
         }
     }
 
+    /// Sequential greedy placement against an evolving queue estimate:
+    /// each admitted job's candidate view and pick, `None` for a shed
+    /// (nothing targetable, or the best predicted finish busts the
+    /// deadline).
+    fn greedy_pass(&self) -> Vec<Option<(BatchJob, usize)>> {
+        let mut free = self.free_at();
+        self.pending
+            .iter()
+            .map(|job| {
+                let view = self.batch_view(job)?;
+                let pick = best_candidate(&view, &free, self.now_ms);
+                let device = view.allowed[pick];
+                let finish = free[device].max(self.now_ms) + view.expected_ms[pick];
+                if finish > job.deadline_abs_ms {
+                    return None;
+                }
+                free[device] = finish;
+                Some((view, pick))
+            })
+            .collect()
+    }
+
+    /// Each device's committed free time.
+    fn free_at(&self) -> Vec<f64> {
+        self.occ.iter().map(|o| o.free_at_ms()).collect()
+    }
+
     /// The candidate view of one job: targetable devices (not Down, breaker
     /// allows) with their predicted costs, inflated by the drift-detector
     /// penalty while a device's health signal is raised. `None` when
     /// nothing is targetable.
-    fn batch_view(
-        &self,
-        job: &PendingJob,
-        quotes: &[Vec<Quote>],
-        states: &[FaultState],
-        breakers: &[CircuitBreaker],
-        penalties: &[f64],
-    ) -> Option<BatchJob> {
-        let combo = self.combo(job.wi, job.di);
+    fn batch_view(&self, job: &PendingJob) -> Option<BatchJob> {
         let mut allowed = Vec::new();
         let mut expected = Vec::new();
-        for device in self.cluster.devices() {
-            if states[device.id] == FaultState::Down || !breakers[device.id].allows() {
+        for (device, quote) in self.quotes[job.combo].iter().enumerate() {
+            if self.states[device] == FaultState::Down
+                || !self.breakers[device].allows()
+                || !quote.expected_ms.is_finite()
+            {
                 continue;
             }
-            let quote = &quotes[combo][device.id];
-            if !quote.expected_ms.is_finite() {
-                continue;
-            }
-            allowed.push(device.id);
-            expected.push(quote.expected_ms * penalties[device.id]);
+            allowed.push(device);
+            expected.push(quote.expected_ms * self.penalties[device]);
         }
         if allowed.is_empty() {
             return None;
@@ -821,10 +739,8 @@ struct HubSeries {
     util: Vec<Arc<Gauge>>,
     queue_depth: Vec<Arc<Gauge>>,
     migrations: Arc<Counter>,
-    good: Arc<Counter>,
-    late: Arc<Counter>,
-    failed: Arc<Counter>,
-    shed: Arc<Counter>,
+    /// Jobs by resolution, indexed like [`Ledger::counts`].
+    outcomes: [Arc<Counter>; 4],
     drift: Arc<Counter>,
 }
 
@@ -832,13 +748,6 @@ impl HubSeries {
     #[cold]
     fn new(n_dev: usize) -> Self {
         let hub = heteromap_obs::metrics::global();
-        let outcome = |o: &'static str| {
-            hub.counter(
-                "fleet_jobs_total",
-                &[("outcome", o)],
-                "Fleet jobs by resolution bucket",
-            )
-        };
         let per_device = |name: &str, help: &'static str| {
             (0..n_dev)
                 .map(|d| hub.gauge(name, &[("device", &d.to_string())], help))
@@ -858,10 +767,10 @@ impl HubSeries {
                 &[],
                 "Migration re-queues (jobs leaving a failed device)",
             ),
-            good: outcome("good"),
-            late: outcome("late"),
-            failed: outcome("failed"),
-            shed: outcome("shed"),
+            outcomes: ["good", "late", "failed", "shed"].map(|o| {
+                let help = "Fleet jobs by resolution bucket";
+                hub.counter("fleet_jobs_total", &[("outcome", o)], help)
+            }),
             drift: hub.counter(
                 "fleet_drift_signals_total",
                 &[],

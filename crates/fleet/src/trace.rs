@@ -3,8 +3,7 @@
 //!
 //! A [`FleetTrace`] is a pure function from `(seed, knobs)` to a concurrent
 //! job stream over the B×I space plus a per-device fault schedule — no RNG
-//! state, no wall clock, mirroring the chaos crate's [`ChaosPlan`]
-//! discipline (`heteromap-chaos`). Time advances in **rounds** of a fixed
+//! state, no wall clock. Time advances in **rounds** of a fixed
 //! simulated tick; arrivals are drawn per round (with seeded bursts), and
 //! device health is drawn per **episode** of [`FleetTrace::episode_len`]
 //! rounds so faults persist long enough for breakers to trip, reroute, cool
@@ -15,8 +14,7 @@
 
 use heteromap_accel::FaultState;
 use heteromap_graph::datasets::Dataset;
-use heteromap_model::Workload;
-use std::hash::{Hash, Hasher};
+use heteromap_model::{seeded_pick, seeded_unit, Workload};
 
 /// The workload pool jobs are drawn from.
 pub const WORKLOADS: [Workload; 5] = [
@@ -130,15 +128,13 @@ impl FleetTrace {
     /// indices into [`WORKLOADS`] / [`DATASETS`], drawn independently of the
     /// fault schedule.
     pub fn job_for(&self, round: u32, k: u32) -> (usize, usize) {
-        let mut h = heteromap_model::StableHasher::new();
-        self.seed.hash(&mut h);
-        0x00F1_EE70_u32.hash(&mut h);
-        round.hash(&mut h);
-        k.hash(&mut h);
-        let draw = h.finish();
-        (
-            (draw % WORKLOADS.len() as u64) as usize,
-            ((draw / WORKLOADS.len() as u64) % DATASETS.len() as u64) as usize,
+        seeded_pick(
+            self.seed,
+            0x00F1_EE70,
+            round,
+            k,
+            WORKLOADS.len(),
+            DATASETS.len(),
         )
     }
 
@@ -164,11 +160,7 @@ impl FleetTrace {
 
     /// Deterministic draw in `[0, 1)` for one `(cell, salt)` pair.
     fn hash_unit(&self, cell: u64, salt: u8) -> f64 {
-        let mut h = heteromap_model::StableHasher::new();
-        self.seed.hash(&mut h);
-        cell.hash(&mut h);
-        salt.hash(&mut h);
-        h.finish() as f64 / (u64::MAX as f64 + 1.0)
+        seeded_unit(self.seed, cell, salt)
     }
 }
 

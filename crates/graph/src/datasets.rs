@@ -11,11 +11,10 @@
 use crate::gen::{GraphGenerator, Grid, Kronecker, PowerLaw, UniformRandom};
 use crate::stats::GraphStats;
 use crate::CsrGraph;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the nine evaluation inputs from Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Dataset {
     /// USA-Cal road network (CA): 1.9M vertices, 4.7M edges, diameter 850.
@@ -153,7 +152,7 @@ impl fmt::Display for Dataset {
 /// III-B): the largest vertex count, edge count, max degree, and diameter
 /// across the datasets "available in literature" — within Table I these are
 /// KronLarge (V, E), Twitter (max degree) and rgg-n-24 (diameter).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiteratureMaxima {
     /// Largest vertex count (KronLarge: 134M).
     pub vertices: u64,

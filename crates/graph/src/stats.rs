@@ -2,7 +2,6 @@
 
 use crate::csr::CsrGraph;
 use crate::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// Structural statistics of a graph.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// I3, `diameter` → I4. For the Table I datasets these are taken verbatim
 /// from the paper; for generated graphs they are measured with
 /// [`GraphStats::measure`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphStats {
     /// Number of vertices (paper variable behind `I1`).
     pub vertices: u64,

@@ -2,7 +2,6 @@
 
 use crate::discretize::Grid;
 use crate::B_DIM;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The 13 benchmark variables `B1..B13`, each in `[0, 1]`.
@@ -28,7 +27,7 @@ use std::fmt;
 /// Invariant: B1–B5 describe mutually-exclusive program phases, so they sum
 /// to 1 for a complete benchmark ("values for B1-5 variables for phases add
 /// to 1 for all benchmarks").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BVector {
     values: [f64; B_DIM],
 }

@@ -5,10 +5,8 @@
 //! however we keep the model simple". [`Grid`] captures that choice so the
 //! ablation bench can compare 0.1 against finer grids.
 
-use serde::{Deserialize, Serialize};
-
 /// A uniform quantization grid over `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Grid {
     steps: u32,
 }

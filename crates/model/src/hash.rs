@@ -24,7 +24,7 @@
 //! hasher computed when this repository's digests were first pinned;
 //! `tests/stable_hash.rs` holds the known-answer values.
 
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 
 /// SipHash-1-3 with a zero key over the byte stream described in the
 /// [module docs](self).
@@ -192,6 +192,41 @@ pub fn fold_digest(digest: u64, parts: &[u64]) -> u64 {
         h.write_u64(p);
     }
     h.finish()
+}
+
+/// One seeded draw: `seed`, then `key`, then `salt` through one
+/// [`StableHasher`]. Every per-episode, per-cell and per-slot draw of the
+/// chaos plans and fleet traces, and the fleet's random placer, goes
+/// through it. The byte stream follows each argument's type, so integer
+/// literals carry theirs (`0x31_u8`, not `0x31`).
+pub fn seeded_draw(seed: u64, key: impl Hash, salt: impl Hash) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_u64(seed);
+    key.hash(&mut h);
+    salt.hash(&mut h);
+    h.finish()
+}
+
+/// [`seeded_draw`] mapped onto `[0, 1)`.
+pub fn seeded_unit(seed: u64, key: impl Hash, salt: impl Hash) -> f64 {
+    seeded_draw(seed, key, salt) as f64 / (u64::MAX as f64 + 1.0)
+}
+
+/// The seeded pick of one entry from each of two pools of `a` and `b`
+/// entries for `slot` of `round` in `stream`: `(draw % a, draw / a % b)`.
+pub fn seeded_pick(
+    seed: u64,
+    stream: u32,
+    round: u32,
+    slot: u32,
+    a: usize,
+    b: usize,
+) -> (usize, usize) {
+    let draw = seeded_draw(seed, stream, (round, slot));
+    (
+        (draw % a as u64) as usize,
+        (draw / a as u64 % b as u64) as usize,
+    )
 }
 
 #[cfg(test)]

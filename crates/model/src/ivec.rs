@@ -4,7 +4,6 @@ use crate::discretize::Grid;
 use crate::I_DIM;
 use heteromap_graph::datasets::LiteratureMaxima;
 use heteromap_graph::GraphStats;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Smoothing exponent applied to the linear ratio `x / x_max`.
@@ -42,7 +41,7 @@ pub const SMOOTHING_EXPONENT: f64 = 0.45;
 /// assert_eq!(i.i3(), 0.0); // "I3 is set as 0 in this case"
 /// assert!(i.i4() > 0.5);   // high-diameter road network
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IVector {
     values: [f64; I_DIM],
     raw: GraphStats,

@@ -32,7 +32,7 @@ pub mod workload;
 
 pub use bvec::BVector;
 pub use discretize::Grid;
-pub use hash::{fold_digest, StableHasher};
+pub use hash::{fold_digest, seeded_draw, seeded_pick, seeded_unit, StableHasher};
 pub use ivec::IVector;
 pub use mconfig::{Accelerator, MConfig, OmpSchedule};
 pub use workload::Workload;

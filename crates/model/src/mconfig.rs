@@ -3,11 +3,10 @@
 
 use crate::discretize::Grid;
 use crate::M_DIM;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The inter-accelerator choice `M1`: which machine runs the combination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Accelerator {
     /// Run on the GPU (massive threading, small caches, no coherence).
     Gpu,
@@ -39,7 +38,7 @@ impl fmt::Display for Accelerator {
 
 /// OpenMP `for schedule` choice (`M11` in Fig. 3: "static, dynamic, guided,
 /// or auto").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OmpSchedule {
     /// Fixed chunk assignment at loop entry.
     Static,
@@ -98,7 +97,7 @@ impl fmt::Display for OmpSchedule {
 /// whose results are multiplied by the machine maxima on deployment.
 ///
 /// This is a passive configuration record, so fields are public.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MConfig {
     /// `M1` — selected accelerator.
     pub accelerator: Accelerator,
@@ -282,7 +281,7 @@ impl Default for MConfig {
 /// Per-accelerator maxima used to turn normalized `M` values into deployable
 /// integers (the paper multiplies the normalized result by e.g.
 /// `max_local_threads` and adds the minimum `k`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeployLimits {
     /// Maximum multicore cores (Xeon Phi: 61, 40-core CPU: 40).
     pub max_cores: u32,

@@ -1,12 +1,11 @@
 //! Named graph benchmarks (Fig. 5) and their `B` profiles.
 
 use crate::bvec::BVector;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The nine graph benchmarks evaluated in the paper (§VI-B), sourced from
 /// CRONO, GAP, MiBench, Rodinia and Pannotia.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Workload {
     /// Single-source shortest paths, Bellman-Ford (data-parallel edge relax).
@@ -39,7 +38,7 @@ pub enum Workload {
 /// by the accelerator cost model (traversals converge in `O(diameter)`
 /// rounds; PageRank runs a fixed number of power iterations; triangle
 /// counting is a single sweep).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IterationModel {
     /// Iterations ≈ `factor × diameter` (Bellman-Ford style convergence).
     DiameterBound {

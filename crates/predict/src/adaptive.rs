@@ -6,7 +6,6 @@
 
 use crate::predictor::{Predictor, TrainingSet};
 use heteromap_model::{Accelerator, BVector, IVector, MConfig, M_DIM};
-use serde::{Deserialize, Serialize};
 
 /// The adaptive-library predictor.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// data-movement/utilization equation and returns the stored profile for
 /// the winner — deliberately ignoring the non-linear structure the paper
 /// shows such schemes miss (Table IV: 56.5% accuracy).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveLibrary {
     gpu_profile: MConfig,
     multicore_profile: MConfig,

@@ -8,10 +8,9 @@
 
 use crate::predictor::Predictor;
 use heteromap_model::{Accelerator, BVector, Grid, IVector, MConfig, OmpSchedule};
-use serde::{Deserialize, Serialize};
 
 /// The decision-tree predictor. Stateless (no training), tunable threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionTree {
     /// Decision threshold on normalized variables (paper default 0.5: "the
     /// unbiased mid-point in normalized B, I values"; "other thresholds may

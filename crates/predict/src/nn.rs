@@ -12,11 +12,10 @@ use heteromap_model::{BVector, IVector, MConfig, BI_DIM, M_DIM};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// One fully-connected layer with sigmoid activation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Layer {
     pub(crate) inputs: usize,
     pub(crate) outputs: usize,
@@ -142,7 +141,7 @@ thread_local! {
 }
 
 /// Hyper-parameters for training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Internal layer width (Table IV sweeps 16/32/64/128).
     pub hidden: usize,
@@ -169,7 +168,7 @@ impl Default for TrainConfig {
 }
 
 /// The trained deep predictor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NeuralPredictor {
     name: String,
     layers: Vec<Layer>,

@@ -4,11 +4,10 @@
 use heteromap_graph::GraphStats;
 use heteromap_model::workload::IterationModel;
 use heteromap_model::{BVector, IVector, MConfig, BI_DIM};
-use serde::{Deserialize, Serialize};
 
 /// Objective the framework optimizes (§VII-C trains HeteroMap "for the
 /// energy objective" as well).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Objective {
     /// Minimize completion time.
     #[default]
@@ -68,7 +67,7 @@ pub fn features(b: &BVector, i: &IVector) -> [f64; BI_DIM] {
 
 /// One row of the offline profiler database: a synthetic benchmark-input
 /// combination and the autotuned-optimal machine configuration for it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingSample {
     /// Benchmark variables.
     pub b: BVector,
@@ -88,7 +87,7 @@ pub struct TrainingSample {
 
 /// The offline profiler database (§V: "a profiler database of B, I, M
 /// tuples residing in the CPU file system").
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrainingSet {
     samples: Vec<TrainingSample>,
     /// Total oracle evaluations the autotuner spent producing the samples

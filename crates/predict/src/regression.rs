@@ -5,7 +5,6 @@
 use crate::linalg::{ridge_solve, Matrix};
 use crate::predictor::{features, Predictor, TrainingSet};
 use heteromap_model::{BVector, IVector, MConfig, BI_DIM, M_DIM};
-use serde::{Deserialize, Serialize};
 
 /// Polynomial-feature regression predictor.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// `order ≥ 2` all pairwise products `xᵢ·xⱼ` ("higher orders and variable
 /// coefficients, which demand more multiplications"). One ridge solution per
 /// output dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegressionPredictor {
     name: String,
     order: u32,

@@ -15,10 +15,9 @@ use heteromap_model::workload::IterationModel;
 use heteromap_model::{BVector, Grid, IVector};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A generated synthetic benchmark (Fig. 9's generic micro-benchmarks).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticBenchmark {
     /// The benchmark's B profile.
     pub b: BVector,
@@ -29,7 +28,7 @@ pub struct SyntheticBenchmark {
 }
 
 /// Input family from Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyntheticFamily {
     /// GTgraph uniform random: moderate skew, logarithmic diameter.
     UniformRandom,

@@ -188,6 +188,30 @@ fn stable_hasher_matches_pinned_siphash13_values() {
     }
 }
 
+/// The chaos plans and fleet traces draw through `seeded_draw`, which must
+/// write the `episode-draw`, `cell-draw` and `trace-request` streams above.
+#[test]
+fn seeded_draws_write_the_pinned_streams() {
+    use heteromap_model::{seeded_draw, seeded_pick, seeded_unit};
+
+    let episode = 0x6920_eb08_af2a_4160_u64;
+    assert_eq!(seeded_draw(9, 6_u32, 0x22_u8), episode);
+    assert_eq!(
+        seeded_draw(9, 3_u64 << 32 | 6, 0x31_u8),
+        0xcd90_39e7_7f2e_e05c
+    );
+    let request = 0xa8e8_5c0d_48ee_55db_u64;
+    assert_eq!(seeded_draw(9, 0x00C0_FFEE_u32, (17_u32, 4_u32)), request);
+    assert_eq!(
+        seeded_unit(9, 6_u32, 0x22_u8),
+        episode as f64 / (u64::MAX as f64 + 1.0)
+    );
+    assert_eq!(
+        seeded_pick(9, 0x00C0_FFEE, 17, 4, 5, 4),
+        ((request % 5) as usize, (request / 5 % 4) as usize)
+    );
+}
+
 /// The cost model's noise term runs through the hasher, so `evaluate`'s
 /// simulated time is pinned to the bit.
 #[test]

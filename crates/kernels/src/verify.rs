@@ -26,7 +26,19 @@ pub fn bfs_seq(graph: &CsrGraph, source: VertexId) -> Vec<u32> {
 }
 
 /// Dijkstra shortest-path distances from `source` — the ground truth for
-/// both SSSP kernels. Unreachable vertices get `f32::INFINITY`.
+/// both SSSP kernels, which equal it bit for bit. Unreachable vertices get
+/// `f32::INFINITY`.
+///
+/// Why the match is exact even though `f32` addition rounds: every kernel
+/// stores only values `fl(d[u] + w)` built from earlier stored values, so
+/// each final `d[v]` is the left-to-right `f32` sum along some path, and a
+/// kernel stops only at a fixpoint where `d[t] <= fl(d[u] + w)` holds on
+/// every edge. Rounding is monotone (`a <= b` implies `fl(a + w) <=
+/// fl(b + w)`) and never goes below `a` when `w >= 0`, so induction along
+/// any path shows the fixpoint is at most that path's rounded sum. The
+/// fixpoint is therefore the least rounded path sum, which is what this
+/// search settles in order. Bellman-Ford and Δ-stepping reach it by any
+/// relaxation order, at any thread count.
 pub fn dijkstra(graph: &CsrGraph, source: VertexId) -> Vec<Distance> {
     let n = graph.vertex_count();
     let mut dist = vec![f32::INFINITY; n];

@@ -5,11 +5,11 @@
 //!
 //! Two traversal refinements on top of the persistent execution engine:
 //!
-//! * **Lock-free frontiers** — the next frontier is a
-//!   [`SharedFrontier`]: workers collect discoveries in per-worker local
-//!   buffers (pre-sized from degree statistics, reused across levels) and
-//!   flush each batch with a single atomic-cursor reservation. No lock is
-//!   taken anywhere in the level loop, and the two frontier buffers are
+//! * **Lock-free frontiers** — levels run on [`FrontierRounds`]: workers
+//!   collect discoveries in per-worker local buffers (pre-sized from degree
+//!   statistics, reused across levels) and flush each batch into the next
+//!   [`SharedFrontier`](crate::frontier::SharedFrontier) with a single
+//!   atomic-cursor reservation. The two frontier buffers are
 //!   double-buffered across levels, so frontier storage is allocated once
 //!   per traversal.
 //! * **Direction optimization** (Beamer-style) — on sufficiently dense
@@ -20,17 +20,16 @@
 //!   `V / BETA`. Power-law graphs stop paying the full push cost on the big
 //!   middle levels. Levels are direction-independent, so results stay
 //!   bit-identical with the sequential reference.
-//! * **Work-sized levels** — a top-down level asks
-//!   [`phase_threads`](crate::par::phase_threads) for its participant
-//!   count, so the many small levels of a sparse traversal run on the
-//!   caller instead of paying a pool hand-off each.
+//! * **Work-sized levels** — a top-down level takes
+//!   [`phase_threads`](crate::par::phase_threads) participants, so the
+//!   many small levels of a sparse traversal run on the caller instead of
+//!   paying a pool hand-off each.
 
-use crate::frontier::SharedFrontier;
-use crate::par::{phase_threads, Scheduler};
+use crate::frontier::FrontierRounds;
+use crate::par::Scheduler;
 use crate::UNREACHED;
 use heteromap_graph::{CsrGraph, VertexId};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
 
 /// Push→pull switch: go bottom-up when the frontier's out-edges exceed
 /// `unexplored_edges / ALPHA` (Beamer's α).
@@ -87,23 +86,18 @@ pub fn bfs_with(
     let levels: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNREACHED)).collect();
     levels[source as usize].store(0, Ordering::Relaxed);
 
-    // Double-buffered frontiers, allocated once and reused every level.
-    let mut cur = SharedFrontier::with_capacity(n);
-    let mut next = SharedFrontier::with_capacity(n);
-    cur.push_slice(&[source]);
-
-    // Per-worker discovery buffers, reused across levels. Pre-sized from
-    // degree statistics: a worker's static share of a full frontier emits at
-    // most `chunk * avg_degree` vertices in expectation, plus one hub.
+    // Per-worker discovery buffers, pre-sized from degree statistics: a
+    // worker's static share of a full frontier emits at most
+    // `chunk * avg_degree` vertices in expectation, plus one hub.
     let chunk = n.div_ceil(threads);
     let avg_degree = graph.average_degree().ceil() as usize;
     let local_capacity = chunk
         .saturating_mul(avg_degree.max(1))
         .saturating_add(graph.max_degree())
         .min(n);
-    let locals: Vec<Mutex<Vec<u32>>> = (0..threads)
-        .map(|_| Mutex::new(Vec::with_capacity(local_capacity)))
-        .collect();
+    // Every vertex enters a frontier at most once.
+    let mut rounds = FrontierRounds::new(n, threads, local_capacity);
+    rounds.reset(&[source]);
 
     let dir_opt = direction_optimizing(graph);
     let transpose = if dir_opt {
@@ -117,22 +111,23 @@ pub fn bfs_with(
     // Edges not yet explored, for the α heuristic (an estimate: edges out of
     // already-visited vertices are subtracted as their levels retire).
     let mut unexplored_edges = graph.edge_count();
-    while !cur.is_empty() {
-        if let Some(transpose) = &transpose {
+    while !rounds.is_empty() {
+        if dir_opt {
             // Frontier out-edge volume drives the direction choice.
-            let frontier_edges: usize = cur.as_slice().iter().map(|&v| graph.out_degree(v)).sum();
+            let frontier_edges: usize = rounds.current().iter().map(|&v| graph.out_degree(v)).sum();
             if !bottom_up && frontier_edges * ALPHA > unexplored_edges {
                 bottom_up = true;
-            } else if bottom_up && cur.len() * BETA < n {
+            } else if bottom_up && rounds.len() * BETA < n {
                 bottom_up = false;
             }
             unexplored_edges = unexplored_edges.saturating_sub(frontier_edges);
-            if bottom_up {
+        }
+        match &transpose {
+            Some(transpose) if bottom_up => {
                 // Pull: every unvisited vertex scans its in-neighbours for a
                 // parent on the current level. Exactly one worker owns each
                 // vertex, so a plain store suffices.
-                scheduler.for_each_worker(n, threads, |worker, range| {
-                    let mut local = locals[worker].lock().unwrap_or_else(|e| e.into_inner());
+                rounds.advance_sweep(n, scheduler, threads, |range, out| {
                     for v in range {
                         if levels[v].load(Ordering::Relaxed) != UNREACHED {
                             continue;
@@ -140,46 +135,32 @@ pub fn bfs_with(
                         for &u in transpose.neighbors(v as VertexId) {
                             if levels[u as usize].load(Ordering::Relaxed) == level {
                                 levels[v].store(level + 1, Ordering::Relaxed);
-                                local.push(v as u32);
+                                out.push(v as u32);
                                 break;
                             }
                         }
                     }
-                    next.push_slice(&local);
-                    local.clear();
                 });
-                std::mem::swap(&mut cur, &mut next);
-                next.clear();
-                level += 1;
-                continue;
+            }
+            _ => {
+                // Push: divide the frontier, claim neighbours by CAS.
+                rounds.advance(scheduler, threads, |v, out| {
+                    for &t in graph.neighbors(v) {
+                        if levels[t as usize]
+                            .compare_exchange(
+                                UNREACHED,
+                                level + 1,
+                                Ordering::Relaxed,
+                                Ordering::Relaxed,
+                            )
+                            .is_ok()
+                        {
+                            out.push(t);
+                        }
+                    }
+                });
             }
         }
-        // Push: divide the frontier, claim neighbours by CAS. A small
-        // frontier runs on the caller instead of waking the pool.
-        let frontier = cur.as_slice();
-        let participants = phase_threads(frontier.len(), threads);
-        scheduler.for_each_worker(frontier.len(), participants, |worker, range| {
-            let mut local = locals[worker].lock().unwrap_or_else(|e| e.into_inner());
-            for &v in &frontier[range] {
-                for &t in graph.neighbors(v) {
-                    if levels[t as usize]
-                        .compare_exchange(
-                            UNREACHED,
-                            level + 1,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                    {
-                        local.push(t);
-                    }
-                }
-            }
-            next.push_slice(&local);
-            local.clear();
-        });
-        std::mem::swap(&mut cur, &mut next);
-        next.clear();
         level += 1;
     }
     levels.into_iter().map(AtomicU32::into_inner).collect()

@@ -1,75 +1,91 @@
-//! k-core decomposition — synchronous peeling waves (B4 push-pop
-//! frontier + B5 degree reduction over B10 read-write shared counters),
-//! the second GARDENIA widening of the benchmark space.
+//! k-core decomposition by frontier peeling — the parallel form of
+//! Batagelj–Zaversnik peeling (B4 push-pop frontier + B5 degree reduction
+//! over B10 read-write shared counters), the second GARDENIA widening of
+//! the benchmark space.
 //!
-//! Peels vertices level by level: at level `k`, every remaining vertex
-//! whose remaining out-degree is `<= k` is removed in a wave (its core
-//! number is `k`), decrementing the remaining degree of its in-neighbors;
-//! waves repeat at the same level until a fixpoint, then `k` advances.
+//! Peels vertices level by level. Level `k` is the smallest remaining
+//! out-degree; one scan of the compacted remaining-vertex list seeds the
+//! first wave with the vertices at degree `k`, whose core number is `k`.
+//! Each wave walks only its vertices' in-neighbours and decrements a
+//! neighbour's remaining degree only while it is above `k`, so the one
+//! decrement that takes a degree from `k + 1` to `k` puts that neighbour in
+//! the next wave, and no vertex enters twice. Waves run on
+//! [`FrontierRounds`], so the many small waves of a mesh run on the
+//! caller. A peeled vertex's degree stops at its core number, so the
+//! degree array is the output.
+//!
 //! The level-`k` fixpoint is unique (peeling is confluent), so the core
 //! numbers are bit-identical for every thread count, scheduler, and wave
-//! interleaving — only *when* a vertex is removed within a level can
-//! race, never *at which level*.
+//! interleaving: only *when* a vertex is removed within a level can race,
+//! never *at which level*. The simulated accelerators keep charging the
+//! B-profile above, which describes the algorithm class, not this host's
+//! frontier.
 
+use crate::frontier::FrontierRounds;
 use crate::par::Scheduler;
 use heteromap_graph::{CsrGraph, VertexId};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Core number of every vertex with [`Scheduler::Static`].
 pub fn kcore(graph: &CsrGraph, threads: usize) -> Vec<u32> {
     kcore_with(graph, threads, Scheduler::Static)
 }
 
-/// [`kcore`] with an explicit work-distribution policy.
+/// [`kcore`] with an explicit work-distribution policy for the waves.
 pub fn kcore_with(graph: &CsrGraph, threads: usize, scheduler: Scheduler) -> Vec<u32> {
     let n = graph.vertex_count();
-    if n == 0 {
-        return Vec::new();
-    }
     let transpose = graph.transpose_cached();
+    // Remaining out-degrees. Relaxed suffices: a counter publishes no
+    // other data, and the pool's barrier orders each wave's updates before
+    // the next wave, the next scan and the final read.
     let deg: Vec<AtomicU32> = (0..n)
         .map(|v| AtomicU32::new(graph.out_degree(v as VertexId) as u32))
         .collect();
-    let alive: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(true)).collect();
-    let core: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let mut remaining = n;
-    let mut k = 0u32;
-    while remaining > 0 {
-        // Waves at level k until the fixpoint: removing a vertex can drag
-        // an in-neighbor's remaining degree down to k as well.
-        loop {
-            let removed = AtomicUsize::new(0);
-            scheduler.for_each(n, threads, |range| {
-                let mut local = 0usize;
-                for v in range {
-                    if alive[v].load(Ordering::Acquire) && deg[v].load(Ordering::Acquire) <= k {
-                        alive[v].store(false, Ordering::Release);
-                        core[v].store(k, Ordering::Relaxed);
-                        local += 1;
-                        for &u in transpose.neighbors(v as VertexId) {
-                            // Saturating: a same-wave-removed neighbor's
-                            // counter is dead and must not underflow.
-                            let _ = deg[u as usize].fetch_update(
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                                |d| Some(d.saturating_sub(1)),
-                            );
-                        }
+    // Every vertex enters a wave at most once.
+    let mut waves = FrontierRounds::new(n, threads, 0);
+    let mut remaining: Vec<VertexId> = (0..n as VertexId).collect();
+    let mut seeds = Vec::new();
+    // Vertices below this degree are peeled.
+    let mut floor = 0u32;
+    loop {
+        // Drop the peeled vertices and find the next level: the smallest
+        // remaining degree, and the vertices at it.
+        let mut k = u32::MAX;
+        seeds.clear();
+        remaining.retain(|&v| {
+            let d = deg[v as usize].load(Ordering::Relaxed);
+            if d < floor {
+                return false;
+            }
+            if d < k {
+                k = d;
+                seeds.clear();
+            }
+            if d == k {
+                seeds.push(v);
+            }
+            true
+        });
+        if remaining.is_empty() {
+            break;
+        }
+        waves.reset(&seeds);
+        while !waves.is_empty() {
+            waves.advance(scheduler, threads, |v, out| {
+                for &u in transpose.neighbors(v) {
+                    let before =
+                        deg[u as usize].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
+                            (d > k).then(|| d - 1)
+                        });
+                    if before == Ok(k + 1) {
+                        out.push(u);
                     }
                 }
-                if local > 0 {
-                    removed.fetch_add(local, Ordering::Relaxed);
-                }
             });
-            let wave = removed.load(Ordering::Relaxed);
-            if wave == 0 {
-                break;
-            }
-            remaining -= wave;
         }
-        k += 1;
+        floor = k + 1;
     }
-    core.into_iter().map(AtomicU32::into_inner).collect()
+    deg.into_iter().map(AtomicU32::into_inner).collect()
 }
 
 #[cfg(test)]

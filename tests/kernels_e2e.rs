@@ -333,3 +333,142 @@ fn frontier_kernels_match_their_oracles_on_both_sides_of_the_inline_floor() {
         "phases must fall on both sides of the floor"
     );
 }
+
+/// Sizes of k-core's peeling waves. They do not depend on the schedule:
+/// a vertex joins the wave after the one that takes its remaining degree
+/// to the level, and that count of in-edges is fixed by the graph.
+fn kcore_wave_sizes(g: &CsrGraph) -> Vec<usize> {
+    let core = verify::kcore_seq(g);
+    let mut deg: Vec<u32> = (0..g.vertex_count())
+        .map(|v| g.out_degree(v as VertexId) as u32)
+        .collect();
+    let mut levels: Vec<u32> = core.clone();
+    levels.sort_unstable();
+    levels.dedup();
+    let transpose = g.transpose();
+    let mut sizes = Vec::new();
+    for k in levels {
+        let mut wave: Vec<usize> = (0..g.vertex_count())
+            .filter(|&v| core[v] == k && deg[v] == k)
+            .collect();
+        while !wave.is_empty() {
+            sizes.push(wave.len());
+            let mut next = Vec::new();
+            for v in wave {
+                for &u in transpose.neighbors(v as VertexId) {
+                    let d = &mut deg[u as usize];
+                    if *d > k {
+                        *d -= 1;
+                        if *d == k {
+                            next.push(u as usize);
+                        }
+                    }
+                }
+            }
+            wave = next;
+        }
+    }
+    sizes
+}
+
+/// Sizes of Bellman-Ford's relaxation rounds at one thread: each round
+/// relaxes, in order, the vertices the previous round improved.
+fn bf_round_sizes(g: &CsrGraph, source: VertexId) -> Vec<usize> {
+    let mut dist = vec![f32::INFINITY; g.vertex_count()];
+    let mut queued = vec![0usize; g.vertex_count()];
+    dist[source as usize] = 0.0;
+    let mut round = vec![source];
+    let mut sizes = Vec::new();
+    while !round.is_empty() {
+        sizes.push(round.len());
+        let mut next = Vec::new();
+        for v in round {
+            for (t, w) in g.edges(v) {
+                let nd = dist[v as usize] + w;
+                if nd < dist[t as usize] {
+                    dist[t as usize] = nd;
+                    if queued[t as usize] != sizes.len() {
+                        queued[t as usize] = sizes.len();
+                        next.push(t);
+                    }
+                }
+            }
+        }
+        round = next;
+    }
+    sizes
+}
+
+#[test]
+fn fixpoint_kernels_match_their_oracles_at_every_thread_count_and_schedule() {
+    use heteromap_graph::gen::{Grid, UniformRandom};
+    use heteromap_kernels::par::{Scheduler, PHASE_ITEMS_PER_PARTICIPANT as FLOOR};
+    let graphs = [
+        // Hundreds of waves and rounds, every one below the floor.
+        ("grid-60", Grid::new(60, 60).generate(3)),
+        // Skewed and uniform inputs with phases at or above the floor.
+        ("rmat-12", RMat::new(12, 8.0, 0.57, 0.19, 0.19).generate(1)),
+        (
+            "uniform-20k",
+            UniformRandom::new(20_000, 60_000).generate(3),
+        ),
+        // Half an edge per vertex: thousands of components.
+        (
+            "uniform-sparse",
+            UniformRandom::new(6_000, 3_000).generate(5),
+        ),
+    ];
+    let schedulers = [
+        Scheduler::Static,
+        Scheduler::Dynamic { grain: 1 },
+        Scheduler::Dynamic { grain: 64 },
+    ];
+    let sides = |sizes: &[usize]| {
+        (
+            sizes.iter().any(|&s| s < FLOOR),
+            sizes.iter().any(|&s| s >= FLOOR),
+        )
+    };
+    let (mut waves, mut rounds) = ((false, false), (false, false));
+    for (name, g) in graphs {
+        let core = KernelOutput::Labels(verify::kcore_seq(&g));
+        let components = verify::conncomp_seq(&g);
+        let dist = verify::dijkstra(&g, 0);
+        if name == "uniform-sparse" {
+            let roots = components
+                .iter()
+                .enumerate()
+                .filter(|&(v, &l)| v == l as usize);
+            assert!(roots.count() > 1_000, "{name}: too few components");
+        }
+        let (small, large) = sides(&kcore_wave_sizes(&g));
+        waves = (waves.0 | small, waves.1 | large);
+        let (small, large) = sides(&bf_round_sizes(&g, 0));
+        rounds = (rounds.0 | small, rounds.1 | large);
+        let components = KernelOutput::Labels(components);
+        for threads in THREAD_COUNTS {
+            for scheduler in schedulers {
+                let runner = KernelRunner::new(threads).with_scheduler(scheduler);
+                let tag = format!("{name}/t{threads}/{scheduler:?}");
+                assert_eq!(runner.run(Workload::KCore, &g).output, core, "{tag}: kcore");
+                assert_eq!(
+                    runner.run(Workload::ConnComp, &g).output,
+                    components,
+                    "{tag}: conncomp"
+                );
+                match runner.run(Workload::SsspBf, &g).output {
+                    KernelOutput::Distances(d) => {
+                        assert_eq!(bits(&d), bits(&dist), "{tag}: sssp_bf")
+                    }
+                    other => panic!("unexpected output {other:?}"),
+                }
+            }
+        }
+    }
+    assert_eq!(
+        waves,
+        (true, true),
+        "k-core waves on both sides of the floor"
+    );
+    assert_eq!(rounds, (true, true), "BF rounds on both sides of the floor");
+}

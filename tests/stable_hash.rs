@@ -309,13 +309,39 @@ fn round_loop_digests_are_pinned() {
     for (placer, want) in fleet {
         let sim = FleetSim::new(FleetTrace::smoke(42, 0.2), Cluster::uniform(1), placer);
         for threads in [1, 4] {
-            let got = sim.run(threads).digest;
+            let report = sim.run(threads);
+            let got = report.digest;
             assert_eq!(
                 got, want,
                 "fleet {placer} threads={threads}: got {got:#018x}"
             );
+            // Greedy and Evolution share a digest at 0.2 because nothing
+            // happens there that the two placers would handle differently.
+            if matches!(placer, Placer::Greedy | Placer::Evolution) {
+                assert_eq!(
+                    [
+                        report.migrations,
+                        report.breaker_opens,
+                        report.drift_signals
+                    ],
+                    [0, 0, 0],
+                    "fleet {placer} at 0.2 must not migrate, trip or drift: {report:?}"
+                );
+            }
         }
     }
+    // At 0.9 the placers meet migrations, trips and drift, and the pins
+    // must tell them apart.
+    let digest = |placer| {
+        FleetSim::new(FleetTrace::smoke(42, 0.9), Cluster::uniform(1), placer)
+            .run(1)
+            .digest
+    };
+    assert_ne!(
+        digest(Placer::Greedy),
+        digest(Placer::Evolution),
+        "Greedy and Evolution must differ at 0.9"
+    );
 }
 
 /// The dynamic-graph runner folds every epoch's incremental statistics,

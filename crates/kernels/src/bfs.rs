@@ -20,10 +20,10 @@
 //!   `V / BETA`. Power-law graphs stop paying the full push cost on the big
 //!   middle levels. Levels are direction-independent, so results stay
 //!   bit-identical with the sequential reference.
-//! * **Work-sized levels** — a top-down level takes
-//!   [`phase_threads`](crate::par::phase_threads) participants, so the
-//!   many small levels of a sparse traversal run on the caller instead of
-//!   paying a pool hand-off each.
+//! * **Work-sized levels** — a top-down level asks
+//!   [`phase_threads`](crate::par::phase_threads) for its participant
+//!   count, so the many small levels of a sparse traversal run on the
+//!   caller instead of paying a pool hand-off each.
 
 use crate::frontier::FrontierRounds;
 use crate::par::Scheduler;

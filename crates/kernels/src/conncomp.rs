@@ -8,8 +8,8 @@
 //! id in its tree, and a final find per vertex yields the component
 //! minimum. Those labels are unique, so they do not depend on the thread
 //! count or the schedule. The simulated accelerators keep charging the
-//! paper's label-propagation B-profile above, which describes the
-//! algorithm class, not this host kernel.
+//! B-profile above, which describes the algorithm class, not this host
+//! kernel.
 
 use crate::par::Scheduler;
 use heteromap_graph::{CsrGraph, VertexId};

@@ -11,9 +11,8 @@
 //! levels, so a whole BFS allocates its frontier storage once.
 //!
 //! [`FrontierRounds`] is that loop, written once: the double buffer, the
-//! per-worker locals, and rounds sized by
-//! [`phase_threads`]. BFS levels, k-core
-//! peeling waves and Bellman-Ford relaxation rounds all run on it.
+//! per-worker locals, and rounds sized by [`phase_threads`]. BFS levels,
+//! k-core peeling waves and Bellman-Ford relaxation rounds all run on it.
 
 use crate::par::{phase_threads, Scheduler};
 use std::cell::UnsafeCell;
@@ -262,7 +261,7 @@ mod tests {
 
     #[test]
     fn rounds_advance_the_frontier_under_every_policy() {
-        // Doubling rounds over 0..64: 1 -> {2, 3} -> {4..8} -> ...
+        // Doubling rounds: {1} -> {2, 3} -> {4..=7} -> ... -> {1024..=2047}.
         for scheduler in [Scheduler::Static, Scheduler::Dynamic { grain: 1 }] {
             for threads in [1, 3] {
                 let mut rounds = FrontierRounds::new(2048, threads, 0);

@@ -241,9 +241,9 @@ impl HeteroMap {
     /// (§V-A). `predictor_fallbacks` is recorded in the attempt log.
     ///
     /// [`HeteroMap::schedule_context`] is `predict_config` + this; callers
-    /// that obtain configurations elsewhere (a placement cache, a batched
-    /// predictor) use it directly, and a deterministic `overhead_ms` makes
-    /// the returned placement fully deterministic.
+    /// that obtain configurations elsewhere (a placement cache) use it
+    /// directly, and a deterministic `overhead_ms` makes the returned
+    /// placement fully deterministic.
     pub fn deploy_predicted(
         &self,
         ctx: &WorkloadContext,
@@ -307,37 +307,6 @@ impl HeteroMap {
     /// many fallback steps were taken.
     pub fn predict_config(&self, b: &BVector, i: &IVector) -> (MConfig, u32) {
         self.rescue_infeasible(self.predictor.predict(b, i), b, i)
-    }
-
-    /// Batched form of [`HeteroMap::predict_config`]: one
-    /// [`Predictor::predict_batch`] call covers every query (a single
-    /// matrix-matrix forward pass for the neural predictor), then each
-    /// result falls down the same feasibility chain. Outputs are
-    /// bit-identical to per-query `predict_config`.
-    pub fn predict_configs(&self, queries: &[(BVector, IVector)]) -> Vec<(MConfig, u32)> {
-        let mut raw = Vec::with_capacity(queries.len());
-        let mut out = Vec::with_capacity(queries.len());
-        self.predict_configs_into(queries, &mut raw, &mut out);
-        out
-    }
-
-    /// [`HeteroMap::predict_configs`] writing into caller-provided buffers
-    /// (both cleared first): `raw` holds the predictor's batch output, `out`
-    /// the feasibility-rescued results. A serving loop that reuses the
-    /// buffers runs the whole batched prediction without heap allocation.
-    pub fn predict_configs_into(
-        &self,
-        queries: &[(BVector, IVector)],
-        raw: &mut Vec<MConfig>,
-        out: &mut Vec<(MConfig, u32)>,
-    ) {
-        self.predictor.predict_batch_into(queries, raw);
-        out.clear();
-        out.extend(
-            raw.iter()
-                .zip(queries)
-                .map(|(&config, (b, i))| self.rescue_infeasible(config, b, i)),
-        );
     }
 
     fn rescue_infeasible(&self, config: MConfig, b: &BVector, i: &IVector) -> (MConfig, u32) {

@@ -170,26 +170,6 @@ where
     take_slots(slots)
 }
 
-/// Splits `0..n` into `threads` contiguous ranges and runs `work(range)` in
-/// parallel. Ranges are balanced to within one element.
-pub fn par_ranges<F>(n: usize, threads: usize, work: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    Scheduler::Static.for_each(n, threads, work);
-}
-
-/// Dynamic work distribution: threads grab `grain`-sized chunks of `0..n`
-/// from a shared cursor (the "OMP dynamic schedule" of the paper's M11).
-/// The cursor is an `AtomicUsize`, so `n` near `u32::MAX` and grains larger
-/// than `u32::MAX` are handled without wrapping or truncation.
-pub fn par_dynamic<F>(n: usize, threads: usize, grain: usize, work: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    Scheduler::Dynamic { grain }.for_each(n, threads, work);
-}
-
 /// Splits `data` into up to `threads` contiguous chunks, runs
 /// `work(offset, chunk)` on each in parallel, and returns the chunks'
 /// results in chunk order; `offset` is the chunk's start index in `data`.
@@ -273,38 +253,14 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn par_ranges_covers_everything_once() {
-        let n = 1003;
-        let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        par_ranges(n, 7, |r| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn par_dynamic_covers_everything_once() {
-        let n = 501;
-        let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        par_dynamic(n, 5, 16, |r| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn par_dynamic_survives_grain_beyond_u32() {
+    fn dynamic_scheduler_survives_grain_beyond_u32() {
         // Regression: the seed's `AtomicU32` cursor truncated `grain as u32`
         // and wrapped for large `n`; a grain past `u32::MAX` must now cover
         // the range in one claim instead of re-running chunks forever.
         let n = 257;
         let grain = u32::MAX as usize + 10;
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        par_dynamic(n, 4, grain, |r| {
+        Scheduler::Dynamic { grain }.for_each(n, 4, |r| {
             for i in r {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
@@ -313,11 +269,11 @@ mod tests {
     }
 
     #[test]
-    fn par_dynamic_cursor_does_not_overflow_on_huge_grains() {
+    fn dynamic_scheduler_cursor_does_not_overflow_on_huge_grains() {
         // `start + grain` saturates instead of overflowing `usize`.
         let n = 12;
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        par_dynamic(n, 3, usize::MAX, |r| {
+        Scheduler::Dynamic { grain: usize::MAX }.for_each(n, 3, |r| {
             for i in r {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
@@ -349,11 +305,6 @@ mod tests {
         let slot = AtomicU32::new(1.0f32.to_bits());
         assert!(!atomic_min_f32(&slot, 2.0));
         assert_eq!(f32::from_bits(slot.load(Ordering::Relaxed)), 1.0);
-    }
-
-    #[test]
-    fn par_ranges_with_zero_items_is_noop() {
-        par_ranges(0, 4, |_| panic!("no work expected"));
     }
 
     #[test]
@@ -399,17 +350,26 @@ mod tests {
 
     #[test]
     fn schedulers_cover_everything_once() {
-        for sched in [Scheduler::Static, Scheduler::Dynamic { grain: 7 }] {
-            let n = 333;
+        let dynamic = |grain| Scheduler::Dynamic { grain };
+        for (sched, n, threads) in [
+            (Scheduler::Static, 333, 5),
+            (dynamic(7), 333, 5),
+            (Scheduler::Static, 1003, 7),
+            (dynamic(16), 501, 5),
+            // Zero items: no chunk may reach `work`.
+            (Scheduler::Static, 0, 4),
+            (dynamic(16), 0, 4),
+        ] {
             let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-            sched.for_each(n, 5, |r| {
+            sched.for_each(n, threads, |r| {
+                assert!(!r.is_empty(), "{sched:?}: empty chunk");
                 for i in r {
                     hits[i].fetch_add(1, Ordering::Relaxed);
                 }
             });
             assert!(
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "{sched:?}"
+                "{sched:?} n={n} threads={threads}"
             );
         }
     }

@@ -2,7 +2,7 @@
 //! parallel relaxation phase per bucket and a reduction to select the next
 //! bucket — the push-pop (B4) + reduction (B5) profile of Fig. 5.
 
-use crate::par::{atomic_min_f32, par_ranges, phase_threads};
+use crate::par::{atomic_min_f32, phase_threads, Scheduler};
 use crate::Distance;
 use heteromap_graph::{CsrGraph, VertexId};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -51,7 +51,7 @@ pub fn sssp_delta(
             let frontier = std::mem::take(&mut buckets[current]);
             let inserts: Mutex<Vec<(usize, VertexId)>> = Mutex::new(Vec::new());
             let participants = phase_threads(frontier.len(), threads);
-            par_ranges(frontier.len(), participants, |range| {
+            Scheduler::Static.for_each(frontier.len(), participants, |range| {
                 let mut local = Vec::new();
                 for &v in &frontier[range] {
                     let dv = f32::from_bits(dist[v as usize].load(Ordering::Relaxed));

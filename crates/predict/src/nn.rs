@@ -134,9 +134,8 @@ impl InferenceScratch {
 }
 
 thread_local! {
-    /// Per-thread scratch backing the allocating convenience entry points
-    /// (`predict`, `predict_batch`): first use warms the buffers, every
-    /// later inference on the thread is allocation-free.
+    /// Per-thread scratch backing [`Predictor::predict`]: first use warms
+    /// the buffers, every later inference on the thread is allocation-free.
     static TLS_SCRATCH: RefCell<InferenceScratch> = RefCell::new(InferenceScratch::new());
 }
 
@@ -305,9 +304,8 @@ impl NeuralPredictor {
     /// sweeping the batch, intermediate activations live in the flat
     /// ping-pong arena of `scratch`. Every `(sample, neuron)` element is
     /// reduced by the same lane-ordered kernel as single-sample inference,
-    /// so batched outputs are **bit-identical** to per-sample outputs — the
-    /// property the serving layer's batched path relies on — and both are
-    /// bit-identical to [`NeuralPredictor::forward_reference`].
+    /// so batched outputs are **bit-identical** to per-sample outputs, and
+    /// both are bit-identical to [`NeuralPredictor::forward_reference`].
     ///
     /// # Panics
     ///
@@ -406,37 +404,6 @@ impl Predictor for NeuralPredictor {
             self.forward_into(&features(b, i), &mut scratch.borrow_mut(), &mut arr);
         });
         MConfig::from_array(arr)
-    }
-
-    fn predict_batch_into(&self, queries: &[(BVector, IVector)], out: &mut Vec<MConfig>) {
-        out.clear();
-        if queries.is_empty() {
-            return;
-        }
-        TLS_SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            // Fixed-size stack chunks bound the flat input/output arenas so
-            // arbitrarily large batches run without per-call heap traffic.
-            const CHUNK: usize = 128;
-            let mut xs = [0.0; CHUNK * BI_DIM];
-            let mut ys = [0.0; CHUNK * M_DIM];
-            for chunk in queries.chunks(CHUNK) {
-                for (row, (b, i)) in chunk.iter().enumerate() {
-                    xs[row * BI_DIM..(row + 1) * BI_DIM].copy_from_slice(&features(b, i));
-                }
-                self.forward_batch_into(
-                    &xs[..chunk.len() * BI_DIM],
-                    chunk.len(),
-                    &mut scratch,
-                    &mut ys[..chunk.len() * M_DIM],
-                );
-                for row in 0..chunk.len() {
-                    let mut arr = [0.0; M_DIM];
-                    arr.copy_from_slice(&ys[row * M_DIM..(row + 1) * M_DIM]);
-                    out.push(MConfig::from_array(arr));
-                }
-            }
-        });
     }
 
     fn inference_flops(&self) -> usize {
@@ -560,40 +527,6 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_set_panics() {
         let _ = NeuralPredictor::train(&TrainingSet::new(), TrainConfig::default());
-    }
-
-    #[test]
-    fn batched_forward_is_bit_identical_to_single() {
-        let set = toy_set();
-        let nn = NeuralPredictor::train(
-            &set,
-            TrainConfig {
-                hidden: 16,
-                epochs: 20,
-                ..TrainConfig::default()
-            },
-        );
-        let queries: Vec<(BVector, IVector)> = set.samples().iter().map(|s| (s.b, s.i)).collect();
-        let batched = nn.predict_batch(&queries);
-        assert_eq!(batched.len(), queries.len());
-        for ((b, i), batch_cfg) in queries.iter().zip(&batched) {
-            let single = nn.predict(b, i);
-            assert_eq!(single.as_array(), batch_cfg.as_array(), "bitwise equal");
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_empty() {
-        let set = toy_set();
-        let nn = NeuralPredictor::train(
-            &set,
-            TrainConfig {
-                hidden: 16,
-                epochs: 1,
-                ..TrainConfig::default()
-            },
-        );
-        assert!(nn.predict_batch(&[]).is_empty());
     }
 
     #[test]

@@ -25,28 +25,6 @@ pub trait Predictor {
     /// Predicts the machine configuration for one benchmark-input pair.
     fn predict(&self, b: &BVector, i: &IVector) -> MConfig;
 
-    /// Predicts a batch of benchmark-input pairs in one call.
-    ///
-    /// The default implementation loops [`Predictor::predict`]; predictors
-    /// with batched kernels (the neural network's matrix-matrix forward
-    /// pass) override it. Implementations must stay **bit-identical** to
-    /// per-item `predict` — the serving layer relies on that to return the
-    /// same placement from its cached, batched and uncached paths.
-    fn predict_batch(&self, queries: &[(BVector, IVector)]) -> Vec<MConfig> {
-        let mut out = Vec::with_capacity(queries.len());
-        self.predict_batch_into(queries, &mut out);
-        out
-    }
-
-    /// Like [`Predictor::predict_batch`] but writing into a caller-provided
-    /// buffer (cleared first), so steady-state serving loops can reuse one
-    /// allocation across batches. Same bit-identity contract as
-    /// `predict_batch`.
-    fn predict_batch_into(&self, queries: &[(BVector, IVector)], out: &mut Vec<MConfig>) {
-        out.clear();
-        out.extend(queries.iter().map(|(b, i)| self.predict(b, i)));
-    }
-
     /// Deterministic cost of one inference in multiply-accumulates
     /// (0 for closed-form predictors like the decision tree). The serving
     /// layer converts this into the charged predictor overhead of §V-A,

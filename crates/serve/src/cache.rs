@@ -38,9 +38,9 @@ fn fx_fold(hash: u64, word: u64) -> u64 {
 /// diameter) — everything a [`heteromap_predict::Predictor`] can observe.
 ///
 /// The hash of the 21 words is folded once at construction and carried in
-/// the key, so the hot path never re-hashes: shard selection, assembly-lane
-/// selection and the shard `HashMap` (through [`IdentityHasher`]) all reuse
-/// the same precomputed value. The old scheme ran SipHash over all 21 words
+/// the key, so the hot path never re-hashes: shard selection and the shard
+/// `HashMap` (through [`IdentityHasher`]) both reuse the same precomputed
+/// value. The old scheme ran SipHash over all 21 words
 /// twice per lookup (once for the shard, once inside the map) — measurable
 /// at millions of requests per second.
 #[derive(Debug, Clone, Copy)]
@@ -91,12 +91,6 @@ impl PredKey {
     /// Cache-shard index: low hash bits.
     fn shard_index(&self, shards: usize) -> usize {
         (self.hash as u32 as usize) % shards
-    }
-
-    /// Batch-assembly-lane index: high hash bits, so lane choice is
-    /// independent of shard choice (a hot shard does not imply a hot lane).
-    pub fn lane_index(&self, lanes: usize) -> usize {
-        ((self.hash >> 32) as usize) % lanes.max(1)
     }
 }
 

@@ -1,54 +1,47 @@
 //! The concurrent prediction-serving engine.
 //!
 //! [`ServeEngine`] wraps a [`HeteroMap`] instance behind a sharded
-//! prediction cache and a batched inference path, so a long-running serving
-//! process answers repeated `(B, I)` queries without re-running the neural
-//! forward pass:
+//! prediction cache, so a long-running serving process answers repeated
+//! `(B, I)` queries without re-running the neural forward pass:
 //!
 //! * **cache hit** — the stored [`MConfig`] is re-deployed through the
 //!   analytic cost model (deterministic, sub-microsecond) and charged
 //!   [`ServeConfig::hit_overhead_ms`] of predictor overhead;
-//! * **cache miss** — the predictor runs (optionally batched across
-//!   concurrent misses into one matrix-matrix forward pass, with
-//!   single-flight dedup of identical keys) and the completion time is
-//!   charged the full inference cost,
+//! * **cache miss** — the predictor runs inline on the calling thread and
+//!   the completion time is charged the full inference cost,
 //!   `inference_flops × flop_ns` (§V-A's overhead accounting made
 //!   deterministic — no wall clock in the placement).
 //!
 //! Because the cache stores the *prediction* and deploy re-runs per request,
 //! every mode returns the same placement for the same (workload, statistics,
-//! fault plan): hits, batched misses and the uncached baseline differ only
-//! in the overhead they charge.
+//! fault plan): hits, misses and the uncached baseline differ only in the
+//! overhead they charge.
+//!
+//! [`MConfig`]: heteromap_model::MConfig
 
-use crate::cache::{CachedPrediction, IdentityState, InsertOutcome, PredKey, ShardedCache};
-use crate::metrics::{Counter, MetricsRegistry, PeakGauge};
-use crate::mpsc::SlotRing;
-use crate::pad::CacheAligned;
+use crate::cache::{CachedPrediction, InsertOutcome, PredKey, ShardedCache};
+use crate::metrics::MetricsRegistry;
 use heteromap::{DeployOptions, HeteroMap, Placement, StreamReport};
 use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::FaultPlan;
 use heteromap_graph::datasets::Dataset;
 use heteromap_graph::{CsrGraph, GraphStats};
 use heteromap_kernels::par::{par_map, run_threads};
-use heteromap_model::{BVector, IVector, MConfig, Workload};
-use heteromap_obs::metrics::SeriesSnapshot;
+use heteromap_model::Workload;
 use heteromap_predict::Predictor;
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, RwLock};
+use std::time::Instant;
 
 /// How a request resolves its prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServeMode {
     /// Always run the predictor (the pre-serving baseline).
     Uncached,
-    /// Consult the sharded cache; misses run the predictor individually.
+    /// Consult the sharded cache; a miss runs the predictor inline and
+    /// stores the result.
+    #[default]
     Cached,
-    /// Consult the cache; concurrent misses coalesce into batched forward
-    /// passes with single-flight dedup of identical keys.
-    CachedBatched,
 }
 
 /// Serving-engine configuration.
@@ -60,14 +53,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Total cached predictions across shards.
     pub capacity: usize,
-    /// Largest coalesced inference batch.
-    pub max_batch: usize,
-    /// Batch-assembly lanes. Each lane is an independent lock-free
-    /// submission ring with its own single-flight map and leader, selected
-    /// by key hash — concurrent misses on different lanes never contend, so
-    /// batching scales with threads instead of convoying behind one global
-    /// leader.
-    pub lanes: usize,
     /// Simulated cost of one predictor FLOP in nanoseconds; a miss charges
     /// `inference_flops × flop_ns` into the placement's completion time.
     pub flop_ns: f64,
@@ -80,11 +65,9 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            mode: ServeMode::CachedBatched,
+            mode: ServeMode::default(),
             shards: 16,
             capacity: 65_536,
-            max_batch: 64,
-            lanes: default_lanes(),
             flop_ns: 1.0,
             hit_overhead_ms: 0.0,
         }
@@ -99,22 +82,6 @@ impl ServeConfig {
             ..ServeConfig::default()
         }
     }
-
-    /// Overrides the batch-assembly lane count (builder style). Any
-    /// positive count is valid — lane selection is a modulo over the key
-    /// hash — and results are lane-count-independent; the count only sets
-    /// how many concurrent misses can assemble batches without contending.
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.max(1);
-        self
-    }
-}
-
-/// The default lane count: one per available hardware thread (clamped to
-/// `[1, 64]`), so batch assembly scales with the host without tuning. Falls
-/// back to 8 lanes when the host's parallelism cannot be queried.
-pub fn default_lanes() -> usize {
-    std::thread::available_parallelism().map_or(8, |n| n.get().clamp(1, 64))
 }
 
 /// Where one request's prediction came from.
@@ -123,10 +90,7 @@ pub enum ServeSource {
     /// Found in the cache.
     CacheHit,
     /// Computed by the predictor.
-    Computed {
-        /// Whether the prediction rode in a coalesced batch.
-        batched: bool,
-    },
+    Computed,
     /// Served from the cache by the overload-shedding path: under
     /// admission-control pressure a possibly-stale cached prediction beats
     /// dropping the request (see `heteromap_serve::admission`).
@@ -159,147 +123,18 @@ pub struct ClosedLoopReport {
     pub throughput_rps: f64,
 }
 
-/// Single-flight rendezvous: the first thread to miss a key computes it,
-/// duplicates block here until the value lands.
-#[derive(Debug, Default)]
-struct Slot {
-    ready: Mutex<Option<CachedPrediction>>,
-    cond: Condvar,
-}
-
-impl Slot {
-    fn try_get(&self) -> Option<CachedPrediction> {
-        *self.ready.lock().expect("slot poisoned")
-    }
-
-    fn wait(&self) -> CachedPrediction {
-        let mut ready = self.ready.lock().expect("slot poisoned");
-        loop {
-            if let Some(v) = *ready {
-                return v;
-            }
-            ready = self.cond.wait(ready).expect("slot poisoned");
-        }
-    }
-
-    /// Waits at most `timeout` for the value. Owners use this while another
-    /// thread leads their lane: the bounded sleep yields the core (vital on
-    /// low-core hosts) without risking a missed wakeup hang.
-    fn wait_timeout(&self, timeout: Duration) -> Option<CachedPrediction> {
-        let ready = self.ready.lock().expect("slot poisoned");
-        if ready.is_some() {
-            return *ready;
-        }
-        let (ready, _) = self
-            .cond
-            .wait_timeout(ready, timeout)
-            .expect("slot poisoned");
-        *ready
-    }
-
-    fn fill(&self, value: CachedPrediction) {
-        *self.ready.lock().expect("slot poisoned") = Some(value);
-        self.cond.notify_all();
-    }
-}
-
-/// One queued inference request awaiting a batch leader.
-#[derive(Debug)]
-struct BatchItem {
-    key: PredKey,
-    b: BVector,
-    i: IVector,
-    generation: u64,
-    slot: Arc<Slot>,
-}
-
-/// One independent batch-assembly lane: a lock-free submission ring, the
-/// lane's single-flight dedup map, and a leader mutex that serializes only
-/// *this lane's* drains. Lanes are selected by key hash (high bits, so lane
-/// choice is independent of cache-shard choice) and each sits on its own
-/// cache line.
-///
-/// The occupancy metrics are registered once, at construction, on the
-/// engine's metrics hub under `lane="<index>"`; the lane keeps the handles,
-/// so the warm request path records without allocation or hub lookup.
-#[derive(Debug)]
-struct Lane {
-    inflight: Mutex<HashMap<PredKey, Arc<Slot>, IdentityState>>,
-    queue: SlotRing<BatchItem>,
-    leader: Mutex<()>,
-    /// Drains led on this lane.
-    drains: Arc<Counter>,
-    /// Items resolved by this lane's drains.
-    drained_items: Arc<Counter>,
-    /// Peak ring occupancy observed at enqueue time.
-    occupancy_peak: Arc<PeakGauge>,
-}
-
-impl Lane {
-    fn new(queue_capacity: usize, metrics: &MetricsRegistry, index: usize) -> Self {
-        let hub = metrics.hub();
-        let index = index.to_string();
-        let labels = [("lane", index.as_str())];
-        Lane {
-            inflight: Mutex::new(HashMap::default()),
-            queue: SlotRing::new(queue_capacity),
-            leader: Mutex::new(()),
-            drains: hub.counter(
-                "serve_lane_drains_total",
-                &labels,
-                "Batch drains led per lane",
-            ),
-            drained_items: hub.counter(
-                "serve_lane_drained_items_total",
-                &labels,
-                "Requests resolved by per-lane drains",
-            ),
-            occupancy_peak: hub.peak_gauge(
-                "serve_lane_occupancy_peak",
-                &labels,
-                "Peak submission-ring occupancy per lane",
-            ),
-        }
-    }
-}
-
-/// Reusable per-thread buffers for batch assembly: the drained items, the
-/// flattened queries and the prediction outputs. Warm after the first batch
-/// on each thread, making the miss path allocation-free in steady state too.
-#[derive(Debug, Default)]
-struct AssemblyScratch {
-    batch: Vec<BatchItem>,
-    queries: Vec<(BVector, IVector)>,
-    raw: Vec<MConfig>,
-    preds: Vec<(MConfig, u32)>,
-}
-
-thread_local! {
-    static ASSEMBLY: RefCell<AssemblyScratch> = RefCell::new(AssemblyScratch::default());
-}
-
-/// How long a queued owner sleeps on its slot while another thread holds the
-/// lane leadership, before re-checking for the leader lock itself.
-const OWNER_WAIT: Duration = Duration::from_micros(100);
-
 /// A concurrent prediction-serving engine over one [`HeteroMap`] instance.
 ///
 /// Shared-state layout: the model sits behind a `RwLock` (requests read,
 /// fault-plan/predictor swaps write and invalidate the cache while holding
 /// the write lock, so no request ever pairs an old-generation value with a
-/// new model). Batch assembly is sharded across [`ServeConfig::lanes`]
-/// independent lanes: a miss reserves a slot in its lane's lock-free ring,
-/// then whichever owner takes that lane's leader lock drains up to
-/// [`ServeConfig::max_batch`] queued items — its own and any concurrent
-/// same-lane misses — and resolves them with one batched
-/// [`HeteroMap::predict_configs_into`] call. Misses on different lanes
-/// proceed fully in parallel, which is what keeps batched throughput at or
-/// above plain cached throughput at every thread count.
+/// new model). Concurrent misses on the same key each run the predictor and
+/// insert the same value; the deterministic predictor makes the duplicate
+/// work harmless, and a miss costs one inline forward pass either way.
 #[derive(Debug)]
 pub struct ServeEngine {
     model: RwLock<HeteroMap>,
     cache: ShardedCache,
-    lanes: Vec<CacheAligned<Lane>>,
     metrics: Arc<MetricsRegistry>,
     config: ServeConfig,
 }
@@ -307,17 +142,10 @@ pub struct ServeEngine {
 impl ServeEngine {
     /// Wraps `model` in a serving engine.
     pub fn new(model: HeteroMap, config: ServeConfig) -> Self {
-        // Each lane's ring holds several max batches so producers only hit
-        // the full-ring fallback under extreme skew.
-        let queue_capacity = config.max_batch.max(1).saturating_mul(4).max(64);
-        let metrics = Arc::new(MetricsRegistry::new());
         ServeEngine {
             model: RwLock::new(model),
             cache: ShardedCache::new(config.shards, config.capacity),
-            lanes: (0..config.lanes.max(1))
-                .map(|i| CacheAligned::new(Lane::new(queue_capacity, &metrics, i)))
-                .collect(),
-            metrics,
+            metrics: Arc::new(MetricsRegistry::new()),
             config,
         }
     }
@@ -332,16 +160,7 @@ impl ServeEngine {
         Arc::clone(&self.metrics)
     }
 
-    /// Per-lane occupancy series: drains led, items drained and peak ring
-    /// occupancy for each batch-assembly lane, labeled `lane="<index>"`.
-    pub fn lane_series(&self) -> Vec<SeriesSnapshot> {
-        let mut series = self.metrics.series();
-        series.retain(|s| s.name.starts_with("serve_lane_"));
-        series
-    }
-
-    /// Renders the registry, per-lane occupancy series included, in the
-    /// Prometheus text exposition format.
+    /// Renders the registry in the Prometheus text exposition format.
     pub fn prometheus_text(&self) -> String {
         self.metrics.prometheus_text()
     }
@@ -375,10 +194,9 @@ impl ServeEngine {
 
     /// [`ServeEngine::schedule_context`] with per-request
     /// [`DeployOptions`]: the deadline and breaker routing are threaded
-    /// through prediction resolution (cache, single-flight, batching) into
-    /// the resilient deploy loop, so backoff never outlives the request's
-    /// budget and open-breaker accelerators are routed around with the
-    /// configuration re-clamped.
+    /// through prediction resolution into the resilient deploy loop, so
+    /// backoff never outlives the request's budget and open-breaker
+    /// accelerators are routed around with the configuration re-clamped.
     pub fn schedule_context_opts(&self, ctx: &WorkloadContext, opts: DeployOptions) -> Served {
         let _span = heteromap_obs::span_cat("serve", "serve");
         let start = Instant::now();
@@ -386,13 +204,13 @@ impl ServeEngine {
         let i = model.ivector(&ctx.stats);
         let key = PredKey::new(&ctx.b, &i);
         let miss_ms = model.predictor().inference_flops() as f64 * self.config.flop_ns * 1e-6;
+        let predict = || {
+            let (config, fallbacks) = model.predict_config(&ctx.b, &i);
+            CachedPrediction { config, fallbacks }
+        };
 
         let (prediction, source, overhead_ms) = match self.config.mode {
-            ServeMode::Uncached => {
-                let (config, fallbacks) = model.predict_config(&ctx.b, &i);
-                let pred = CachedPrediction { config, fallbacks };
-                (pred, ServeSource::Computed { batched: false }, miss_ms)
-            }
+            ServeMode::Uncached => (predict(), ServeSource::Computed, miss_ms),
             ServeMode::Cached => match self.cache.get(&key) {
                 Some(pred) => {
                     self.metrics.cache_hits.inc();
@@ -400,22 +218,12 @@ impl ServeEngine {
                 }
                 None => {
                     self.metrics.cache_misses.inc();
+                    // Read before predicting, so a value computed against a
+                    // model that an invalidation has since replaced is dropped.
                     let generation = self.cache.generation();
-                    let (config, fallbacks) = model.predict_config(&ctx.b, &i);
-                    let pred = CachedPrediction { config, fallbacks };
+                    let pred = predict();
                     self.insert_counted(key, pred, generation);
-                    (pred, ServeSource::Computed { batched: false }, miss_ms)
-                }
-            },
-            ServeMode::CachedBatched => match self.cache.get(&key) {
-                Some(pred) => {
-                    self.metrics.cache_hits.inc();
-                    (pred, ServeSource::CacheHit, self.config.hit_overhead_ms)
-                }
-                None => {
-                    self.metrics.cache_misses.inc();
-                    let pred = self.compute_batched(&model, key, ctx.b, i);
-                    (pred, ServeSource::Computed { batched: true }, miss_ms)
+                    (pred, ServeSource::Computed, miss_ms)
                 }
             },
         };
@@ -484,163 +292,6 @@ impl ServeEngine {
         }
     }
 
-    /// Resolves one miss through the sharded single-flight/batching
-    /// machinery.
-    ///
-    /// The key's hash selects an assembly lane. The first thread to miss a
-    /// key owns its slot and reserves a ring position lock-free; duplicates
-    /// wait on the slot. Owners then try the *lane's* leader lock: whoever
-    /// holds it drains up to `max_batch` queued items (its own plus any
-    /// concurrent same-lane misses) and resolves them with one batched
-    /// forward pass. An owner that loses the race sleeps on its slot with a
-    /// bounded timeout instead of blocking on the lock, so it never convoys
-    /// behind an unrelated drain. Items are only removed from the ring — and
-    /// slots only filled — under the lane leader lock, so an owner whose
-    /// slot is still empty after taking the lock is guaranteed its item is
-    /// still queued.
-    fn compute_batched(
-        &self,
-        model: &HeteroMap,
-        key: PredKey,
-        b: BVector,
-        i: IVector,
-    ) -> CachedPrediction {
-        let lane: &Lane = &self.lanes[key.lane_index(self.lanes.len())];
-        let (slot, owner) = {
-            let mut inflight = lane.inflight.lock().expect("inflight lock poisoned");
-            match inflight.get(&key) {
-                Some(slot) => (Arc::clone(slot), false),
-                None => {
-                    let slot = Arc::new(Slot::default());
-                    inflight.insert(key, Arc::clone(&slot));
-                    (slot, true)
-                }
-            }
-        };
-        if !owner {
-            self.metrics.single_flight_waits.inc();
-            let _span = heteromap_obs::span_cat("batch.wait", "serve");
-            return slot.wait();
-        }
-
-        // Uncontended fast path: if lane leadership is free and nothing is
-        // queued, there is nothing to batch with — resolve inline, skipping
-        // the ring round-trip. This keeps a cold or low-traffic miss as
-        // cheap as the plain cached path; the assembly machinery below only
-        // engages when a drain is already running or other misses are
-        // queued behind it. Filling the slot under the leader lock
-        // preserves the lane invariant (slots are only filled by the
-        // current leader).
-        if let Ok(_lead) = lane.leader.try_lock() {
-            if lane.queue.is_empty() {
-                let generation = self.cache.generation();
-                let (config, fallbacks) = model.predict_config(&b, &i);
-                let value = CachedPrediction { config, fallbacks };
-                self.insert_counted(key, value, generation);
-                lane.inflight
-                    .lock()
-                    .expect("inflight lock poisoned")
-                    .remove(&key);
-                self.metrics.batches.inc();
-                self.metrics.batched_requests.inc();
-                self.metrics.batch_sizes.record(1.0);
-                // A batch of one is a queue of depth one, so every batched
-                // request is reflected in the depth peak.
-                self.metrics.queue_depth_peak.observe(1);
-                slot.fill(value);
-                return value;
-            }
-        }
-
-        let item = BatchItem {
-            key,
-            b,
-            i,
-            generation: self.cache.generation(),
-            slot: Arc::clone(&slot),
-        };
-        if let Err(item) = lane.queue.push(item) {
-            // Ring full (extreme skew onto one lane): resolve inline instead
-            // of spinning for a slot.
-            let (config, fallbacks) = model.predict_config(&item.b, &item.i);
-            let value = CachedPrediction { config, fallbacks };
-            self.insert_counted(item.key, value, item.generation);
-            lane.inflight
-                .lock()
-                .expect("inflight lock poisoned")
-                .remove(&item.key);
-            item.slot.fill(value);
-            return value;
-        }
-        let depth = lane.queue.len() as u64;
-        self.metrics.queue_depth_peak.observe(depth);
-        lane.occupancy_peak.observe(depth);
-
-        loop {
-            if let Some(value) = slot.try_get() {
-                return value;
-            }
-            match lane.leader.try_lock() {
-                Ok(_lead) => {
-                    // A drain that completed between our try_get and the
-                    // lock may have served us already.
-                    if let Some(value) = slot.try_get() {
-                        return value;
-                    }
-                    self.drain_lane(model, lane);
-                }
-                Err(_) => {
-                    // Another thread leads this lane; it fills our slot (or
-                    // leaves our item queued for the next drain). Bounded
-                    // sleep, then re-check rather than convoying on the lock.
-                    if let Some(value) = slot.wait_timeout(OWNER_WAIT) {
-                        return value;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drains up to `max_batch` items from `lane`'s ring and resolves them
-    /// with one batched prediction. Caller must hold the lane's leader lock.
-    fn drain_lane(&self, model: &HeteroMap, lane: &Lane) {
-        ASSEMBLY.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.batch.clear();
-            while scratch.batch.len() < self.config.max_batch.max(1) {
-                match lane.queue.pop() {
-                    Some(item) => scratch.batch.push(item),
-                    None => break,
-                }
-            }
-            if scratch.batch.is_empty() {
-                std::thread::yield_now();
-                return;
-            }
-            let _span = heteromap_obs::span_cat("batch.assemble", "serve");
-            scratch.queries.clear();
-            scratch
-                .queries
-                .extend(scratch.batch.iter().map(|it| (it.b, it.i)));
-            model.predict_configs_into(&scratch.queries, &mut scratch.raw, &mut scratch.preds);
-            self.metrics.batches.inc();
-            self.metrics
-                .batched_requests
-                .add(scratch.batch.len() as u64);
-            self.metrics.batch_sizes.record(scratch.batch.len() as f64);
-            lane.drains.inc();
-            lane.drained_items.add(scratch.batch.len() as u64);
-            let mut inflight = lane.inflight.lock().expect("inflight lock poisoned");
-            for (item, &(config, fallbacks)) in scratch.batch.iter().zip(&scratch.preds) {
-                let value = CachedPrediction { config, fallbacks };
-                self.insert_counted(item.key, value, item.generation);
-                inflight.remove(&item.key);
-                item.slot.fill(value);
-            }
-            scratch.batch.clear();
-        });
-    }
-
     fn insert_counted(&self, key: PredKey, value: CachedPrediction, generation: u64) {
         if self.cache.insert(key, value, generation) == InsertOutcome::InsertedEvicting {
             self.metrics.cache_evictions.inc();
@@ -702,8 +353,7 @@ impl ServeEngine {
 
     /// Serves every request across `threads` pool participants, returning
     /// results in request order. Participants claim requests one at a time,
-    /// so concurrent misses on the same key exercise the single-flight and
-    /// batching paths.
+    /// so concurrent misses on the same key race on the cache insert.
     pub fn serve_all(&self, requests: &[(Workload, GraphStats)], threads: usize) -> Vec<Served> {
         par_map(requests.len(), threads, |idx| {
             let (workload, stats) = requests[idx];
@@ -771,7 +421,7 @@ mod tests {
         let e = engine(ServeMode::Cached);
         let first = e.schedule(Workload::Bfs, Dataset::Facebook);
         let second = e.schedule(Workload::Bfs, Dataset::Facebook);
-        assert_eq!(first.source, ServeSource::Computed { batched: false });
+        assert_eq!(first.source, ServeSource::Computed);
         assert_eq!(second.source, ServeSource::CacheHit);
         assert_eq!(e.cache_len(), 1);
         let snap = e.metrics().snapshot();
@@ -784,50 +434,24 @@ mod tests {
         let e = engine(ServeMode::Uncached);
         for _ in 0..3 {
             let s = e.schedule(Workload::PageRank, Dataset::LiveJournal);
-            assert_eq!(s.source, ServeSource::Computed { batched: false });
+            assert_eq!(s.source, ServeSource::Computed);
         }
         assert_eq!(e.cache_len(), 0);
         assert_eq!(e.metrics().snapshot().cache_hits, 0);
     }
 
     #[test]
-    fn batched_single_thread_still_serves() {
-        let e = engine(ServeMode::CachedBatched);
-        let s = e.schedule(Workload::SsspDelta, Dataset::UsaCal);
-        assert_eq!(s.source, ServeSource::Computed { batched: true });
-        let snap = e.metrics().snapshot();
-        assert_eq!(snap.batches, 1);
-        assert_eq!(snap.batched_requests, 1);
-        assert_eq!(
-            e.schedule(Workload::SsspDelta, Dataset::UsaCal).source,
-            ServeSource::CacheHit
-        );
-    }
-
-    #[test]
-    fn lane_series_cover_every_lane_and_round_trip() {
-        let e = engine(ServeMode::CachedBatched);
+    fn exposition_counts_misses_and_round_trips() {
+        let e = engine(ServeMode::Cached);
         e.schedule(Workload::Bfs, Dataset::Facebook);
         e.schedule(Workload::PageRank, Dataset::LiveJournal);
-        let lanes = e.config().lanes;
-        let series = e.lane_series();
-        assert_eq!(series.len(), lanes * 3, "three series per lane");
         let text = e.prometheus_text();
-        assert!(text.contains("serve_lane_drains_total{lane=\"0\"}"));
         assert!(text.contains("serve_cache_misses_total 2"));
         let parsed = heteromap_obs::metrics::parse_prometheus(&text).unwrap();
-        assert!(!parsed.is_empty());
-        // The inline fast path resolves solo misses without a drain, so
-        // drained items can be zero — but never more than the misses.
-        let drained: u64 = series
-            .iter()
-            .filter(|s| s.name == "serve_lane_drained_items_total")
-            .map(|s| match s.value {
-                heteromap_obs::metrics::SeriesValue::Counter(v) => v,
-                _ => 0,
-            })
-            .sum();
-        assert!(drained <= 2);
+        assert_eq!(
+            parsed,
+            heteromap_obs::metrics::samples(&e.metrics().series())
+        );
     }
 
     #[test]
@@ -837,7 +461,7 @@ mod tests {
         e.invalidate();
         assert_eq!(e.cache_len(), 0);
         let s = e.schedule(Workload::Bfs, Dataset::Facebook);
-        assert_eq!(s.source, ServeSource::Computed { batched: false });
+        assert_eq!(s.source, ServeSource::Computed);
         assert_eq!(e.metrics().snapshot().cache_invalidations, 1);
     }
 
@@ -872,7 +496,7 @@ mod tests {
 
     #[test]
     fn serve_all_preserves_request_order() {
-        let e = engine(ServeMode::CachedBatched);
+        let e = engine(ServeMode::Cached);
         let requests: Vec<(Workload, GraphStats)> =
             [Dataset::Facebook, Dataset::LiveJournal, Dataset::UsaCal]
                 .iter()

@@ -9,16 +9,14 @@
 //! * [`cache`] — a sharded LRU cache of predictions keyed by the exact bit
 //!   patterns of the `(B, I)` pair, with generation-based invalidation when
 //!   the fault plan or predictor changes;
-//! * [`engine`] — [`ServeEngine`], which resolves misses through a
-//!   single-flight, batch-coalescing inference path (one matrix-matrix
-//!   forward pass for many concurrent misses) and charges deterministic
-//!   predictor overhead into each placement (§V-A): a miss pays
-//!   `inference_flops × flop_ns`, a hit pays
+//! * [`engine`] — [`ServeEngine`], which runs the predictor inline on a
+//!   miss and charges deterministic predictor overhead into each placement
+//!   (§V-A): a miss pays `inference_flops × flop_ns`, a hit pays
 //!   [`ServeConfig::hit_overhead_ms`] (zero by default);
 //! * [`metrics`] — an atomic [`MetricsRegistry`] (cache hit/miss counters,
-//!   batch-size and latency histograms with p50/p95/p99, per-accelerator
-//!   placement counts) registered on a private `MetricsHub`, snapshotable
-//!   as JSON and as Prometheus text;
+//!   latency histograms with p50/p95/p99, per-accelerator placement counts)
+//!   registered on a private `MetricsHub`, snapshotable as JSON and as
+//!   Prometheus text;
 //! * [`instrument`] — [`MeteredRunner`], which feeds host kernel latencies
 //!   into the same registry;
 //! * [`admission`] — [`AdmissionController`], the resilience front-end: a
@@ -29,8 +27,8 @@
 //!   never silent.
 //!
 //! Because the cache stores predictions and re-runs the deterministic
-//! analytic deploy per request, cached, batched and uncached serving return
-//! identical placements — caching changes cost, never answers.
+//! analytic deploy per request, cached and uncached serving return identical
+//! placements — caching changes cost, never answers.
 //!
 //! # Example
 //!
@@ -56,15 +54,11 @@ pub mod cache;
 pub mod engine;
 pub mod instrument;
 pub mod metrics;
-pub mod mpsc;
 pub mod pad;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmittedLoopReport, Rejected};
 pub use cache::{CachedPrediction, InsertOutcome, PredKey, ShardedCache};
-pub use engine::{
-    default_lanes, ClosedLoopReport, ServeConfig, ServeEngine, ServeMode, ServeSource, Served,
-};
+pub use engine::{ClosedLoopReport, ServeConfig, ServeEngine, ServeMode, ServeSource, Served};
 pub use instrument::MeteredRunner;
-pub use metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, PeakGauge};
-pub use mpsc::SlotRing;
+pub use metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use pad::CacheAligned;

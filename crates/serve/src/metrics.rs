@@ -1,10 +1,9 @@
 //! Atomic metrics registry for the serving engine.
 //!
-//! The recording primitives — sharded [`Counter`]s, [`PeakGauge`]s and
-//! fixed-bucket [`Histogram`]s — live in [`heteromap_obs::metrics`] and are
-//! re-exported here; this module keeps the serving-specific registry: typed
-//! fields covering the cache (hits, misses, evictions, invalidations), the
-//! batcher (batch sizes, queue depth, single-flight waits), scheduling
+//! The recording primitives — sharded [`Counter`]s and fixed-bucket
+//! [`Histogram`]s — live in [`heteromap_obs::metrics`] and are re-exported
+//! here; this module keeps the serving-specific registry: typed fields
+//! covering the cache (hits, misses, evictions, invalidations), scheduling
 //! outcomes (per-accelerator placement counts, failures) and latency
 //! distributions (schedule and kernel p50/p95/p99).
 //!
@@ -18,12 +17,10 @@
 
 use heteromap::Placement;
 use heteromap_model::Accelerator;
-use heteromap_obs::metrics::{
-    MetricsHub, SeriesSnapshot, SeriesValue, BATCH_BOUNDS, LATENCY_BOUNDS_MS,
-};
+use heteromap_obs::metrics::{MetricsHub, SeriesSnapshot, SeriesValue, LATENCY_BOUNDS_MS};
 use std::sync::Arc;
 
-pub use heteromap_obs::metrics::{Counter, Histogram, PeakGauge};
+pub use heteromap_obs::metrics::{Counter, Histogram};
 
 /// Series name of the ad-hoc counters [`MetricsRegistry::counter`]
 /// registers, labeled `name="<slug>"`.
@@ -44,16 +41,6 @@ pub struct MetricsRegistry {
     pub cache_evictions: Arc<Counter>,
     /// Explicit invalidations (fault-plan or predictor changes).
     pub cache_invalidations: Arc<Counter>,
-    /// Requests that waited on another request's identical in-flight key.
-    pub single_flight_waits: Arc<Counter>,
-    /// Batched inference passes executed.
-    pub batches: Arc<Counter>,
-    /// Requests served by batched passes.
-    pub batched_requests: Arc<Counter>,
-    /// Peak submission-queue depth: the most misses ever waiting on one
-    /// assembly lane, counting a miss resolved inline on an idle lane as a
-    /// queue of one.
-    pub queue_depth_peak: Arc<PeakGauge>,
     /// Placements routed to the GPU.
     pub gpu_placements: Arc<Counter>,
     /// Placements routed to the multicore.
@@ -85,8 +72,6 @@ pub struct MetricsRegistry {
     pub schedule_latency: Arc<Histogram>,
     /// Host kernel-execution latency (ms), fed by `MeteredRunner`.
     pub kernel_latency: Arc<Histogram>,
-    /// Distribution of batched-inference batch sizes.
-    pub batch_sizes: Arc<Histogram>,
     hub: MetricsHub,
 }
 
@@ -117,20 +102,6 @@ impl MetricsRegistry {
             cache_invalidations: counter(
                 "serve_cache_invalidations_total",
                 "Explicit cache invalidations",
-            ),
-            single_flight_waits: counter(
-                "serve_single_flight_waits_total",
-                "Duplicate requests that waited on an in-flight key",
-            ),
-            batches: counter("serve_batches_total", "Batched inference passes"),
-            batched_requests: counter(
-                "serve_batched_requests_total",
-                "Requests served through batches",
-            ),
-            queue_depth_peak: hub.peak_gauge(
-                "serve_queue_depth_peak",
-                &[],
-                "Peak submission-queue depth",
             ),
             gpu_placements: placements("gpu"),
             multicore_placements: placements("multicore"),
@@ -173,20 +144,8 @@ impl MetricsRegistry {
                 "serve_kernel_latency_ms",
                 "Host kernel-execution latency (ms)",
             ),
-            batch_sizes: hub.histogram(
-                "serve_batch_size",
-                &[],
-                "Batched-inference batch sizes",
-                &BATCH_BOUNDS,
-            ),
             hub,
         }
-    }
-
-    /// The registry's private hub, for series registered outside the typed
-    /// fields (the engine's per-lane occupancy).
-    pub(crate) fn hub(&self) -> &MetricsHub {
-        &self.hub
     }
 
     /// Registers (or fetches) a named counter, exposed as
@@ -227,7 +186,6 @@ impl MetricsRegistry {
         let hits = self.cache_hits.get();
         let misses = self.cache_misses.get();
         let lookups = hits + misses;
-        let batches = self.batches.get();
         MetricsSnapshot {
             cache_hits: hits,
             cache_misses: misses,
@@ -238,12 +196,9 @@ impl MetricsRegistry {
             },
             cache_evictions: self.cache_evictions.get(),
             cache_invalidations: self.cache_invalidations.get(),
-            single_flight_waits: self.single_flight_waits.get(),
-            batches,
-            batched_requests: self.batched_requests.get(),
-            mean_batch_size: self.batch_sizes.mean(),
-            max_batch_bucket: self.batch_sizes.quantile(1.0),
-            queue_depth_peak: self.queue_depth_peak.get(),
+            single_flight_waits: 0,
+            batches: 0,
+            batched_requests: 0,
             gpu_placements: self.gpu_placements.get(),
             multicore_placements: self.multicore_placements.get(),
             failed_placements: self.failed_placements.get(),
@@ -302,18 +257,15 @@ pub struct MetricsSnapshot {
     pub cache_evictions: u64,
     /// Explicit invalidations.
     pub cache_invalidations: u64,
-    /// Single-flight duplicate waits.
+    /// Always 0: the engine neither batches nor deduplicates misses. Kept,
+    /// with [`MetricsSnapshot::batches`] and
+    /// [`MetricsSnapshot::batched_requests`], only because the repo
+    /// benchmark (`perfbench`) still reads all three.
     pub single_flight_waits: u64,
-    /// Batched inference passes.
+    /// Always 0; see [`MetricsSnapshot::single_flight_waits`].
     pub batches: u64,
-    /// Requests served through batches.
+    /// Always 0; see [`MetricsSnapshot::single_flight_waits`].
     pub batched_requests: u64,
-    /// Mean batch size (`NaN` with no batches).
-    pub mean_batch_size: f64,
-    /// Upper bound of the largest populated batch-size bucket.
-    pub max_batch_bucket: f64,
-    /// Peak submission-queue depth.
-    pub queue_depth_peak: u64,
     /// Placements routed to the GPU.
     pub gpu_placements: u64,
     /// Placements routed to the multicore.
@@ -382,12 +334,6 @@ impl MetricsSnapshot {
         field("cache_hit_rate", json_num(self.cache_hit_rate));
         field("cache_evictions", self.cache_evictions.to_string());
         field("cache_invalidations", self.cache_invalidations.to_string());
-        field("single_flight_waits", self.single_flight_waits.to_string());
-        field("batches", self.batches.to_string());
-        field("batched_requests", self.batched_requests.to_string());
-        field("mean_batch_size", json_num(self.mean_batch_size));
-        field("max_batch_bucket", json_num(self.max_batch_bucket));
-        field("queue_depth_peak", self.queue_depth_peak.to_string());
         field("gpu_placements", self.gpu_placements.to_string());
         field(
             "multicore_placements",
@@ -495,14 +441,12 @@ mod tests {
         m.gpu_placements.add(2);
         m.multicore_placements.inc();
         m.schedule_latency.record(0.5);
-        m.queue_depth_peak.observe(6);
         m.counter("bfs runs").add(4);
         let series = m.series();
         let text = m.prometheus_text();
         assert!(text.contains("serve_cache_hits_total 3\n"));
         assert!(text.contains("serve_placements_total{accelerator=\"gpu\"} 2\n"));
         assert!(text.contains("serve_placements_total{accelerator=\"multicore\"} 1\n"));
-        assert!(text.contains("serve_queue_depth_peak 6\n"));
         assert!(text.contains("serve_extra_total{name=\"bfs_runs\"} 4\n"));
         assert!(text.contains("serve_schedule_latency_ms_count 1\n"));
         let parsed = heteromap_obs::metrics::parse_prometheus(&text).unwrap();

@@ -1,11 +1,11 @@
 //! Cache-line padding against false sharing.
 //!
-//! Hot atomics that different cores update concurrently (cache shard locks,
-//! metrics counters, assembly-lane heads) must not share a 64-byte cache
-//! line, or every update ping-pongs the line between cores and the "lock-free"
-//! counter serializes anyway. [`CacheAligned`] forces each wrapped value onto
-//! its own line with `#[repr(align(64))]` — the manual, dependency-free
-//! equivalent of crossbeam's `CachePadded`.
+//! Hot locks that different cores take concurrently (the cache's shard
+//! mutexes) must not share a 64-byte cache line, or every acquisition
+//! ping-pongs the line between cores and independent shards serialize
+//! anyway. [`CacheAligned`] forces each wrapped value onto its own line with
+//! `#[repr(align(64))]` — the manual, dependency-free equivalent of
+//! crossbeam's `CachePadded`.
 
 use std::ops::{Deref, DerefMut};
 

@@ -1,7 +1,7 @@
 //! Concurrency and determinism tests for the serving engine.
 //!
 //! The load-bearing property: serving is an *optimization*, never a
-//! different answer. Cached, batched and uncached serving must return
+//! different answer. Cached and uncached serving must return
 //! bit-identical placements for the same (workload, statistics, fault plan)
 //! at any thread count, while hits charge (near-)zero predictor overhead
 //! and misses charge the full inference cost.
@@ -115,40 +115,13 @@ fn all_modes_agree_across_thread_counts() {
     let uncached = deep_engine(ServeMode::Uncached);
     let baseline = uncached.serve_all(&requests, 1);
 
-    for mode in [
-        ServeMode::Uncached,
-        ServeMode::Cached,
-        ServeMode::CachedBatched,
-    ] {
+    for mode in [ServeMode::Uncached, ServeMode::Cached] {
         for threads in [1usize, 4, 16] {
             let engine = deep_engine(mode);
             let served = engine.serve_all(&requests, threads);
             assert_eq!(served.len(), baseline.len());
             for ((s, b), &request) in served.iter().zip(&baseline).zip(&requests) {
                 assert_identical(request, s, b, &format!("{mode:?} x{threads}"));
-            }
-        }
-    }
-}
-
-#[test]
-fn lane_counts_never_change_answers() {
-    // The lane count shards batch assembly; it must never leak into
-    // results. Pin a few counts spanning one lane to more lanes than
-    // threads, and check each against the uncached single-thread baseline.
-    let requests = mixed_requests(2, 2);
-    let baseline = deep_engine(ServeMode::Uncached).serve_all(&requests, 1);
-    assert!(heteromap_serve::default_lanes() >= 1);
-    for lanes in [1usize, 2, 8, 16] {
-        let engine = ServeEngine::new(
-            deep_model(),
-            ServeConfig::with_mode(ServeMode::CachedBatched).with_lanes(lanes),
-        );
-        for threads in [1usize, 4] {
-            let served = engine.serve_all(&requests, threads);
-            assert_eq!(served.len(), baseline.len());
-            for ((s, b), &request) in served.iter().zip(&baseline).zip(&requests) {
-                assert_identical(request, s, b, &format!("{lanes} lanes x{threads}"));
             }
         }
     }
@@ -171,11 +144,9 @@ fn zero_overhead_config_makes_placements_fully_bit_identical() {
         )
     };
     let baseline = make(ServeMode::Uncached).serve_all(&requests, 1);
-    for mode in [ServeMode::Cached, ServeMode::CachedBatched] {
-        let served = make(mode).serve_all(&requests, 8);
-        for (s, b) in served.iter().zip(&baseline) {
-            assert_eq!(s.placement, b.placement, "{mode:?}");
-        }
+    let served = make(ServeMode::Cached).serve_all(&requests, 8);
+    for (s, b) in served.iter().zip(&baseline) {
+        assert_eq!(s.placement, b.placement);
     }
 }
 
@@ -189,7 +160,7 @@ fn hits_charge_near_zero_overhead_and_misses_charge_full_inference_cost() {
     );
 
     let miss = engine.schedule(Workload::PageRank, Dataset::LiveJournal);
-    assert_eq!(miss.source, ServeSource::Computed { batched: false });
+    assert_eq!(miss.source, ServeSource::Computed);
     assert_eq!(
         miss.placement.predictor_overhead_ms.to_bits(),
         expected_miss_ms.to_bits(),
@@ -228,17 +199,17 @@ fn hits_charge_near_zero_overhead_and_misses_charge_full_inference_cost() {
 }
 
 #[test]
-fn concurrent_identical_misses_single_flight_into_one_inference() {
-    let engine = deep_engine(ServeMode::CachedBatched);
-    // 64 concurrent requests for the SAME combination: one inference, the
-    // rest either single-flight-wait on it or hit the cache afterwards.
+fn concurrent_identical_requests_agree_and_leave_one_entry() {
+    let engine = deep_engine(ServeMode::Cached);
+    // 64 concurrent requests for the SAME combination: each either misses
+    // and runs the predictor or hits an entry an earlier miss stored.
     let requests: Vec<(Workload, GraphStats)> = (0..64)
         .map(|_| (Workload::Bfs, Dataset::Facebook.stats()))
         .collect();
     let served = engine.serve_all(&requests, 16);
     let computed = served
         .iter()
-        .filter(|s| matches!(s.source, ServeSource::Computed { .. }))
+        .filter(|s| s.source == ServeSource::Computed)
         .count();
     assert!(computed >= 1);
     let snap = engine.metrics().snapshot();
@@ -251,11 +222,6 @@ fn concurrent_identical_misses_single_flight_into_one_inference() {
         64,
         "every request is a hit or a miss"
     );
-    assert_eq!(
-        snap.batched_requests + snap.single_flight_waits,
-        snap.cache_misses,
-        "every miss either rides a batch or waits on an identical in-flight key"
-    );
     assert_eq!(engine.cache_len(), 1, "one combination, one entry");
     // All 64 answers agree.
     for s in &served {
@@ -264,25 +230,8 @@ fn concurrent_identical_misses_single_flight_into_one_inference() {
 }
 
 #[test]
-fn batched_mode_coalesces_distinct_concurrent_misses() {
-    let engine = deep_engine(ServeMode::CachedBatched);
-    // One pass over all distinct combinations at high concurrency: batches
-    // should form (fewer forward passes than misses) whenever two leaders'
-    // drains overlap; with 16 workers on 81+ combos this is effectively
-    // always, but the assertions below hold even in the degenerate case.
-    let requests = mixed_requests(1, 2);
-    engine.serve_all(&requests, 16);
-    let snap = engine.metrics().snapshot();
-    assert_eq!(snap.cache_misses, requests.len() as u64);
-    assert_eq!(snap.batched_requests, requests.len() as u64);
-    assert!(snap.batches >= 1 && snap.batches <= snap.batched_requests);
-    assert!(snap.mean_batch_size >= 1.0);
-    assert!(snap.queue_depth_peak >= 1);
-}
-
-#[test]
 fn invalidation_under_concurrency_is_safe_and_counted() {
-    let engine = deep_engine(ServeMode::CachedBatched);
+    let engine = deep_engine(ServeMode::Cached);
     let requests = mixed_requests(1, 0);
     std::thread::scope(|scope| {
         let eng = &engine;
@@ -313,12 +262,12 @@ fn invalidation_under_concurrency_is_safe_and_counted() {
 }
 
 #[test]
-fn invalidation_races_batched_inference_while_faults_are_active() {
+fn invalidation_races_inference_while_faults_are_active() {
     use heteromap_accel::{FaultPlan, FaultState};
     use heteromap_model::Accelerator;
     use heteromap_predict::DecisionTree;
 
-    let engine = deep_engine(ServeMode::CachedBatched);
+    let engine = deep_engine(ServeMode::Cached);
     // Fault schedules the chaos thread cycles through mid-flight: flaky GPU,
     // throttled multicore, dead GPU, healthy again.
     let plans = [
@@ -349,7 +298,7 @@ fn invalidation_races_batched_inference_while_faults_are_active() {
             .collect();
         // The chaos thread: swap fault plans (each swap invalidates the
         // cache), interleave explicit invalidations, and hot-swap the
-        // predictor once — all while batches are draining.
+        // predictor once — all while misses are predicting.
         scope.spawn(|| {
             for (i, plan) in plans.iter().cycle().take(12).enumerate() {
                 engine.set_fault_plan(*plan);
@@ -394,7 +343,7 @@ fn invalidation_races_batched_inference_while_faults_are_active() {
 
 #[test]
 fn metrics_snapshot_reports_rates_distribution_and_latency() {
-    let engine = deep_engine(ServeMode::CachedBatched);
+    let engine = deep_engine(ServeMode::Cached);
     let requests = mixed_requests(3, 1);
     engine.serve_all(&requests, 4);
     let snap = engine.metrics().snapshot();
@@ -406,7 +355,6 @@ fn metrics_snapshot_reports_rates_distribution_and_latency() {
         "hit rate {}",
         snap.cache_hit_rate
     );
-    assert!(snap.mean_batch_size >= 1.0);
     assert!(snap.schedule_p50_ms > 0.0);
     assert!(snap.schedule_p99_ms >= snap.schedule_p50_ms);
     assert!(snap.schedule_p95_ms >= snap.schedule_p50_ms);
@@ -422,18 +370,18 @@ fn metrics_snapshot_reports_rates_distribution_and_latency() {
 }
 
 #[test]
-fn batched_serving_is_bit_identical_under_contention_with_racing_invalidation() {
+fn cached_serving_is_bit_identical_under_contention_with_racing_invalidation() {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    // The tentpole invariant for the sharded batcher: 16 threads hammering
-    // the batched engine while another thread repeatedly invalidates the
-    // cache must still produce answers bit-identical to the single-threaded
-    // uncached baseline. Invalidation changes which path (miss/batch/hit)
-    // serves a request, never the answer — the model itself is untouched.
+    // 16 threads hammering the cached engine while another thread
+    // repeatedly invalidates the cache must still produce answers
+    // bit-identical to the single-threaded uncached baseline. Invalidation
+    // changes which path (miss/hit) serves a request, never the answer —
+    // the model itself is untouched.
     let requests = mixed_requests(2, 3);
     let baseline = deep_engine(ServeMode::Uncached).serve_all(&requests, 1);
 
-    let engine = deep_engine(ServeMode::CachedBatched);
+    let engine = deep_engine(ServeMode::Cached);
     let done = AtomicBool::new(false);
     let served = std::thread::scope(|scope| {
         let invalidator = scope.spawn(|| {
@@ -458,7 +406,7 @@ fn batched_serving_is_bit_identical_under_contention_with_racing_invalidation() 
             request,
             s,
             b,
-            "batched x16 vs uncached x1 under invalidation",
+            "cached x16 vs uncached x1 under invalidation",
         );
     }
     let snap = engine.metrics().snapshot();
@@ -468,9 +416,9 @@ fn batched_serving_is_bit_identical_under_contention_with_racing_invalidation() 
 #[test]
 fn blocked_forward_is_bit_identical_to_scalar_reference_across_combo_sweep() {
     // The optimized inference path (lane-unrolled dots, cache-blocked
-    // batched GEMM, flat activation arena) must agree bit-for-bit with the
+    // GEMM, flat activation arena) must agree bit-for-bit with the
     // deliberately naive scalar reference on every (workload, dataset)
-    // combination — singly and batched.
+    // combination.
     let nn = deep_nn();
     let model = deep_model();
     let mut queries = Vec::new();
@@ -483,8 +431,7 @@ fn blocked_forward_is_bit_identical_to_scalar_reference_across_combo_sweep() {
     assert_eq!(queries.len(), 81, "the full 81-combo sweep");
 
     use heteromap_predict::Predictor;
-    let batched = nn.predict_batch(&queries);
-    for ((b, i), batch_cfg) in queries.iter().zip(&batched) {
+    for (b, i) in &queries {
         let single = nn.predict(b, i);
         let reference = nn.predict_reference(b, i);
         for (k, (fast, slow)) in single
@@ -497,18 +444,6 @@ fn blocked_forward_is_bit_identical_to_scalar_reference_across_combo_sweep() {
                 fast.to_bits(),
                 slow.to_bits(),
                 "single vs reference, output {k}"
-            );
-        }
-        for (k, (fast, slow)) in batch_cfg
-            .as_array()
-            .iter()
-            .zip(reference.as_array().iter())
-            .enumerate()
-        {
-            assert_eq!(
-                fast.to_bits(),
-                slow.to_bits(),
-                "batched vs reference, output {k}"
             );
         }
     }

@@ -1,6 +1,6 @@
 //! End-to-end prediction serving: train the Deep.128 learner offline,
 //! persist its weights, reload them into a serving engine, and serve a
-//! mixed 10k-request stream with the sharded cache and batched inference,
+//! mixed 10k-request stream through the sharded prediction cache,
 //! finishing with the metrics snapshot as JSON.
 //!
 //! Run with: `cargo run --release --example serve_predictions [samples]`

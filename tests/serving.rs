@@ -29,7 +29,7 @@ fn cache_hits_skip_the_inference_cost_misses_pay_it() {
     ] {
         let miss = engine.schedule(w, d);
         let hit = engine.schedule(w, d);
-        assert_eq!(miss.source, ServeSource::Computed { batched: false }, "{w}");
+        assert_eq!(miss.source, ServeSource::Computed, "{w}");
         assert_eq!(hit.source, ServeSource::CacheHit, "{w}");
 
         // Miss: full deterministic inference cost, charged into time_ms.
@@ -108,10 +108,7 @@ fn serve_exposition_is_pinned() {
     // A fixed single-threaded sequence: distinct misses, repeated hits, one
     // stream, one ad-hoc counter, and a fault-plan swap that invalidates
     // the cache and re-routes the repeats.
-    let engine = ServeEngine::new(
-        HeteroMap::with_decision_tree(),
-        ServeConfig::default().with_lanes(2),
-    );
+    let engine = ServeEngine::new(HeteroMap::with_decision_tree(), ServeConfig::default());
     let requests = [
         (Workload::Bfs, Dataset::Facebook),
         (Workload::PageRank, Dataset::LiveJournal),
@@ -140,15 +137,6 @@ fn serve_exposition_is_pinned() {
 const EXPECTED_EXPOSITION: &str = r#"# HELP serve_admitted_total Requests admitted by the admission controller
 # TYPE serve_admitted_total counter
 serve_admitted_total 0
-# HELP serve_batch_size Batched-inference batch sizes
-# TYPE serve_batch_size histogram
-serve_batch_size_count 12
-# HELP serve_batched_requests_total Requests served through batches
-# TYPE serve_batched_requests_total counter
-serve_batched_requests_total 12
-# HELP serve_batches_total Batched inference passes
-# TYPE serve_batches_total counter
-serve_batches_total 12
 # HELP serve_breaker_closes_total Circuit-breaker recoveries
 # TYPE serve_breaker_closes_total counter
 serve_breaker_closes_total 0
@@ -179,25 +167,10 @@ serve_failed_placements_total 0
 # HELP serve_kernel_latency_ms Host kernel-execution latency (ms)
 # TYPE serve_kernel_latency_ms histogram
 serve_kernel_latency_ms_count 0
-# HELP serve_lane_drained_items_total Requests resolved by per-lane drains
-# TYPE serve_lane_drained_items_total counter
-serve_lane_drained_items_total{lane="0"} 0
-serve_lane_drained_items_total{lane="1"} 0
-# HELP serve_lane_drains_total Batch drains led per lane
-# TYPE serve_lane_drains_total counter
-serve_lane_drains_total{lane="0"} 0
-serve_lane_drains_total{lane="1"} 0
-# HELP serve_lane_occupancy_peak Peak submission-ring occupancy per lane
-# TYPE serve_lane_occupancy_peak gauge
-serve_lane_occupancy_peak{lane="0"} 0
-serve_lane_occupancy_peak{lane="1"} 0
 # HELP serve_placements_total Placements routed per accelerator
 # TYPE serve_placements_total counter
 serve_placements_total{accelerator="gpu"} 9
 serve_placements_total{accelerator="multicore"} 15
-# HELP serve_queue_depth_peak Peak submission-queue depth
-# TYPE serve_queue_depth_peak gauge
-serve_queue_depth_peak 1
 # HELP serve_rejected_overload_total Requests rejected for overload
 # TYPE serve_rejected_overload_total counter
 serve_rejected_overload_total 0
@@ -207,9 +180,6 @@ serve_rejected_unhealthy_total 0
 # HELP serve_schedule_latency_ms End-to-end serve latency per request (ms)
 # TYPE serve_schedule_latency_ms histogram
 serve_schedule_latency_ms_count 24
-# HELP serve_single_flight_waits_total Duplicate requests that waited on an in-flight key
-# TYPE serve_single_flight_waits_total counter
-serve_single_flight_waits_total 0
 # HELP serve_stale_served_total Overloaded requests shed onto stale cached predictions
 # TYPE serve_stale_served_total counter
 serve_stale_served_total 0

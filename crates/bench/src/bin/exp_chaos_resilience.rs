@@ -12,8 +12,9 @@
 //!
 //! Pass `--smoke` for a CI-sized run (smaller plan, fewer thread counts).
 
-use heteromap_bench::TextTable;
+use heteromap_bench::{write_artifact, TextTable};
 use heteromap_chaos::{ChaosPlan, ChaosReport, ChaosRunner};
+use heteromap_obs::json::{self, Object, Value};
 
 const SEED: u64 = 42;
 const INTENSITIES: [f64; 4] = [0.0, 0.1, 0.3, 0.5];
@@ -147,51 +148,36 @@ fn main() {
     }
     println!("acceptance bars hold: graceful degradation, baseline strictly worse");
 
-    // No serde_json in the offline workspace; hand-rolled like the other
-    // BENCH_*.json writers.
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"chaos_resilience\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"seed\": {SEED},\n"));
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    json.push_str(&format!(
-        "  \"trials\": {},\n",
-        thread_counts.len() + 1 // digest-checked runs per cell
-    ));
-    json.push_str(&format!(
-        "  \"rounds\": {}, \"requests_per_round\": {}, \"episode_len\": {},\n",
-        probe.rounds, probe.requests_per_round, probe.episode_len
-    ));
-    json.push_str(&format!("  \"thread_counts\": {thread_counts:?},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, cell) in cells.iter().enumerate() {
-        let row = |mode: &str, r: &ChaosReport| {
-            format!(
-                "    {{\"intensity\": {:.2}, \"mode\": \"{mode}\", \"requests\": {}, \
-                 \"good\": {}, \"late\": {}, \"failed\": {}, \"shed\": {}, \
-                 \"goodput\": {:.6}, \"shed_rate\": {:.6}, \"p99_ms\": {:.6}, \
-                 \"breaker_opens\": {}, \"breaker_closes\": {}, \"digest\": \"{:016x}\"}}",
-                cell.intensity,
-                r.requests,
-                r.good,
-                r.late,
-                r.failed,
-                r.shed,
-                r.goodput_fraction(),
-                shed_rate(r),
-                r.p99_ms,
-                r.breaker_opens,
-                r.breaker_closes,
-                r.digest,
-            )
-        };
-        json.push_str(&row("resilient", &cell.resilient));
-        json.push_str(",\n");
-        json.push_str(&row("baseline", &cell.baseline));
-        json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
+    let rows = cells.iter().flat_map(|cell| {
+        [("resilient", &cell.resilient), ("baseline", &cell.baseline)].map(|(mode, r)| {
+            Object::new()
+                .field("intensity", cell.intensity)
+                .field("mode", mode)
+                .field("requests", r.requests)
+                .field("good", r.good)
+                .field("late", r.late)
+                .field("failed", r.failed)
+                .field("shed", r.shed)
+                .field("goodput", r.goodput_fraction())
+                .field("shed_rate", shed_rate(r))
+                .field("p99_ms", r.p99_ms)
+                .field("breaker_opens", r.breaker_opens)
+                .field("breaker_closes", r.breaker_closes)
+                .field("digest", json::digest(r.digest))
+        })
+    });
+    write_artifact(
+        "BENCH_chaos.json",
+        "chaos_resilience",
+        thread_counts.len() + 1, // digest-checked runs per cell
+        Object::new()
+            .field("smoke", smoke)
+            .field("seed", SEED)
+            .field("rounds", probe.rounds)
+            .field("requests_per_round", probe.requests_per_round)
+            .field("episode_len", probe.episode_len)
+            .field("thread_counts", thread_counts)
+            .field("results", rows.collect::<Value>()),
+    );
     println!("wrote BENCH_chaos.json ({} intensity cells)", cells.len());
 }

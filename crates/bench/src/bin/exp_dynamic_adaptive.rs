@@ -34,11 +34,12 @@
 //! Writes `BENCH_dyn.json`. Pass `--smoke` for the CI-sized run.
 
 use heteromap::HeteroMap;
+use heteromap_bench::write_artifact;
 use heteromap_dyngraph::{DeltaBatch, DynGraph, DynRunReport, DynRunner, DynRunnerConfig};
 use heteromap_graph::datasets::LiteratureMaxima;
 use heteromap_graph::gen::Densifying;
 use heteromap_model::Workload;
-use heteromap_obs::json::{self, num};
+use heteromap_obs::json::{self, Object};
 use heteromap_obs::metrics::drift::{Direction, DriftConfig};
 use heteromap_obs::metrics::{global, prometheus_text, SeriesValue};
 
@@ -369,58 +370,27 @@ fn main() {
     println!("obs: {repred_delta} re-predictions and {migr_delta} migrations visible in metrics");
 
     // ---- Artifact ----------------------------------------------------
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"dynamic_adaptive\",\n");
-    out.push_str("  \"version\": 1,\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"vertices\": {},\n", spec.vertices));
-    out.push_str(&format!("  \"epochs\": {},\n", trace.len()));
-    out.push_str(&format!(
-        "  \"final_edges\": {},\n",
-        adaptive.final_stats.edges
-    ));
-    out.push_str(&format!(
-        "  \"adaptive_makespan_ms\": {},\n",
-        num(adaptive.makespan_ms)
-    ));
-    out.push_str(&format!(
-        "  \"static_makespan_ms\": {},\n",
-        num(static_.makespan_ms)
-    ));
-    out.push_str(&format!("  \"speedup\": {},\n", num(speedup)));
-    out.push_str(&format!(
-        "  \"repredictions\": {},\n",
-        adaptive.repredictions
-    ));
-    out.push_str(&format!("  \"migrations\": {},\n", adaptive.migrations));
-    out.push_str(&format!(
-        "  \"reprediction_epochs\": [{}],\n",
-        fired
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!("  \"bursts_detected\": {detected},\n"));
-    out.push_str(&format!("  \"bursts_injected\": {},\n", windows.len()));
-    out.push_str(&format!(
-        "  \"calm_false_positives\": {},\n",
-        calm_false.len()
-    ));
-    out.push_str(&format!(
-        "  \"adaptive_digest\": \"{:#018x}\",\n",
-        adaptive.digest
-    ));
-    out.push_str(&format!(
-        "  \"static_digest\": \"{:#018x}\",\n",
-        static_.digest
-    ));
-    out.push_str(&format!(
-        "  \"threads\": [{}]\n",
-        THREADS.map(|t| t.to_string()).join(", ")
-    ));
-    out.push_str("}\n");
-    json::parse(&out).expect("artifact must be valid JSON");
-    std::fs::write("BENCH_dyn.json", &out).expect("write BENCH_dyn.json");
+    write_artifact(
+        "BENCH_dyn.json",
+        "dynamic_adaptive",
+        THREADS.len(), // digest-checked runs per mode
+        Object::new()
+            .field("smoke", smoke)
+            .field("vertices", spec.vertices)
+            .field("epochs", trace.len())
+            .field("final_edges", adaptive.final_stats.edges)
+            .field("adaptive_makespan_ms", adaptive.makespan_ms)
+            .field("static_makespan_ms", static_.makespan_ms)
+            .field("speedup", speedup)
+            .field("repredictions", adaptive.repredictions)
+            .field("migrations", adaptive.migrations)
+            .field("reprediction_epochs", fired.as_slice())
+            .field("bursts_detected", detected)
+            .field("bursts_injected", windows.len())
+            .field("calm_false_positives", calm_false.len())
+            .field("adaptive_digest", json::digest(adaptive.digest))
+            .field("static_digest", json::digest(static_.digest))
+            .field("threads", THREADS.as_slice()),
+    );
     println!("\nall gates hold; wrote BENCH_dyn.json");
 }

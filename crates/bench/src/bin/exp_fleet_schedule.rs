@@ -14,8 +14,9 @@
 //! Pass `--smoke` for a CI-sized run (smaller trace and cluster, fewer
 //! thread counts).
 
-use heteromap_bench::TextTable;
+use heteromap_bench::{write_artifact, TextTable};
 use heteromap_fleet::{Cluster, FleetReport, FleetSim, FleetTrace, Placer};
+use heteromap_obs::json::{self, Object, Value};
 
 const SEED: u64 = 42;
 const INTENSITIES: [f64; 3] = [0.0, 0.2, 0.4];
@@ -183,52 +184,37 @@ fn main() {
          and p99; evolution >= greedy on at least one regime"
     );
 
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // No serde_json in the offline workspace; hand-rolled like the other
-    // BENCH_*.json writers.
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"fleet_schedule\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"seed\": {SEED},\n"));
-    json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    json.push_str(&format!(
-        "  \"trials\": {},\n",
-        thread_counts.len() + 1 // digest-checked runs per cell
-    ));
-    json.push_str(&format!(
-        "  \"devices\": {}, \"n_per_spec\": {n_per_spec},\n",
-        cluster.len()
-    ));
-    json.push_str(&format!("  \"thread_counts\": {thread_counts:?},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, cell) in cells.iter().enumerate() {
+    let rows = cells.iter().map(|cell| {
         let r = &cell.report;
-        json.push_str(&format!(
-            "    {{\"regime\": \"{}\", \"intensity\": {:.2}, \"placer\": \"{}\", \
-             \"jobs\": {}, \"good\": {}, \"late\": {}, \"failed\": {}, \"shed\": {}, \
-             \"migrations\": {}, \"jobs_per_sec\": {:.6}, \"p99_ms\": {:.6}, \
-             \"span_ms\": {:.6}, \"avg_utilization\": {:.6}, \"breaker_opens\": {}, \
-             \"breaker_closes\": {}, \"digest\": \"{:016x}\"}}",
-            cell.regime,
-            cell.intensity,
-            cell.placer.name(),
-            r.jobs,
-            r.good,
-            r.late,
-            r.failed,
-            r.shed,
-            r.migrations,
-            r.jobs_per_sec,
-            r.p99_ms,
-            r.span_ms,
-            r.avg_utilization,
-            r.breaker_opens,
-            r.breaker_closes,
-            r.digest,
-        ));
-        json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
+        Object::new()
+            .field("regime", cell.regime)
+            .field("intensity", cell.intensity)
+            .field("placer", cell.placer.name())
+            .field("jobs", r.jobs)
+            .field("good", r.good)
+            .field("late", r.late)
+            .field("failed", r.failed)
+            .field("shed", r.shed)
+            .field("migrations", r.migrations)
+            .field("jobs_per_sec", r.jobs_per_sec)
+            .field("p99_ms", r.p99_ms)
+            .field("span_ms", r.span_ms)
+            .field("avg_utilization", r.avg_utilization)
+            .field("breaker_opens", r.breaker_opens)
+            .field("breaker_closes", r.breaker_closes)
+            .field("digest", json::digest(r.digest))
+    });
+    write_artifact(
+        "BENCH_fleet.json",
+        "fleet_schedule",
+        thread_counts.len() + 1, // digest-checked runs per cell
+        Object::new()
+            .field("smoke", smoke)
+            .field("seed", SEED)
+            .field("devices", cluster.len())
+            .field("n_per_spec", n_per_spec)
+            .field("thread_counts", thread_counts)
+            .field("results", rows.collect::<Value>()),
+    );
     println!("wrote BENCH_fleet.json ({} cells)", cells.len());
 }

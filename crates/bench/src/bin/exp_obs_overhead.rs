@@ -25,8 +25,9 @@
 
 use heteromap::HeteroMap;
 use heteromap_accel::cost::WorkloadContext;
-use heteromap_bench::{all_combos, TextTable};
+use heteromap_bench::{all_combos, write_artifact, TextTable};
 use heteromap_model::Workload;
+use heteromap_obs::json::Object;
 use heteromap_obs::TraceLevel;
 use std::time::Instant;
 
@@ -178,38 +179,24 @@ fn main() {
         );
     }
 
-    // The workspace has no serde_json (offline vendoring); the artifact
-    // goes through the shared heteromap-obs JSON writer.
-    use heteromap_obs::json::{escape, num};
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"obs_overhead\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    json.push_str(&format!("  \"combinations\": {},\n", combos.len()));
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str(&format!("  \"trials\": {reps},\n"));
-    json.push_str(&format!("  \"sweeps_per_rep\": {inner},\n"));
-    json.push_str(&format!("  \"baseline_ms\": {},\n", num(baseline_ms)));
-    json.push_str(&format!("  \"disabled_ms\": {},\n", num(disabled_ms)));
-    json.push_str(&format!("  \"spans_ms\": {},\n", num(spans_ms)));
-    json.push_str(&format!("  \"full_ms\": {},\n", num(full_ms)));
-    json.push_str(&format!(
-        "  \"overhead_disabled\": {},\n",
-        num(overhead_disabled)
-    ));
-    json.push_str(&format!("  \"overhead_spans\": {},\n", num(overhead_spans)));
-    json.push_str(&format!("  \"overhead_full\": {},\n", num(overhead_full)));
-    json.push_str(&format!("  \"trace_spans\": {trace_spans},\n"));
-    json.push_str(&format!(
-        "  \"trace_file\": {}\n",
-        escape(&trace_path.display().to_string())
-    ));
-    json.push_str("}\n");
-    heteromap_obs::json::parse(&json).expect("artifact must be valid JSON");
-    std::fs::write("BENCH_obs_overhead.json", &json).expect("write BENCH_obs_overhead.json");
+    write_artifact(
+        "BENCH_obs_overhead.json",
+        "obs_overhead",
+        reps,
+        Object::new()
+            .field("quick", quick)
+            .field("combinations", combos.len())
+            .field("sweeps_per_rep", inner)
+            .field("baseline_ms", baseline_ms)
+            .field("disabled_ms", disabled_ms)
+            .field("spans_ms", spans_ms)
+            .field("full_ms", full_ms)
+            .field("overhead_disabled", overhead_disabled)
+            .field("overhead_spans", overhead_spans)
+            .field("overhead_full", overhead_full)
+            .field("trace_spans", trace_spans)
+            .field("trace_file", trace_path.display().to_string()),
+    );
     println!(
         "wrote BENCH_obs_overhead.json and {} ({trace_spans} spans)",
         trace_path.display()

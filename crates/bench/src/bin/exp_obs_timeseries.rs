@@ -21,20 +21,20 @@
 //!    telemetry recording — must be bit-identical at 1, 4 and 16 threads,
 //!    and the chaos run's whole exposition text must be too.
 //!
-//! Writes `BENCH_obs.json` (v2: adds `version`, `host_cpus`, `trials` and
-//! the gate results; keeps `overhead_disabled` for the library acceptance
-//! test) and `obs_exposition.prom` (the chaos run's exposition sample).
+//! Writes `BENCH_obs.json` (the gate results; `overhead_disabled` is also
+//! read by the library acceptance test) and `obs_exposition.prom` (the
+//! chaos run's exposition sample).
 //!
 //! Pass `--smoke` for the CI-sized run (fewer reps, smaller plans).
 
 use heteromap::{AttemptLog, HeteroMap, Placement};
 use heteromap_accel::cost::WorkloadContext;
-use heteromap_bench::{all_combos, TextTable};
+use heteromap_bench::{all_combos, host_cpus, write_artifact, TextTable};
 use heteromap_chaos::{ChaosPlan, ChaosRunner, ChaosTelemetry};
 use heteromap_fleet::{Cluster, FleetSim, FleetTrace, Placer};
 use heteromap_graph::GraphStats;
 use heteromap_model::Workload;
-use heteromap_obs::json;
+use heteromap_obs::json::{self, Object};
 use heteromap_obs::metrics::{parse_prometheus, samples};
 use heteromap_obs::TraceLevel;
 use std::time::Instant;
@@ -138,12 +138,11 @@ fn main() {
     let args = heteromap_bench::apply_obs_flags(std::env::args().skip(1));
     let smoke = args.iter().any(|a| a == "--smoke");
     let (reps, inner) = if smoke { (15, 5) } else { (60, 20) };
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-
     println!(
         "Live telemetry acceptance: {} combos x {inner} sweeps/rep, min of {reps} reps, \
-         host_cpus={host_cpus}{}\n",
+         host_cpus={}{}\n",
         all_combos().len(),
+        host_cpus(),
         if smoke { " [smoke]" } else { "" },
     );
 
@@ -303,44 +302,26 @@ fn main() {
     // ---- Artifacts ---------------------------------------------------
     std::fs::write("obs_exposition.prom", &exposition).expect("write obs_exposition.prom");
 
-    use heteromap_obs::json::num;
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"obs_timeseries\",\n");
-    out.push_str("  \"version\": 2,\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    out.push_str(&format!("  \"trials\": {reps},\n"));
-    out.push_str(&format!("  \"combinations\": {},\n", combos.len()));
-    out.push_str(&format!("  \"sweeps_per_rep\": {inner},\n"));
-    out.push_str(&format!("  \"baseline_ms\": {},\n", num(baseline_ms)));
-    out.push_str(&format!("  \"disabled_ms\": {},\n", num(disabled_ms)));
-    out.push_str(&format!("  \"enabled_ms\": {},\n", num(enabled_ms)));
-    out.push_str(&format!(
-        "  \"overhead_disabled\": {},\n",
-        num(overhead_disabled)
-    ));
-    out.push_str(&format!(
-        "  \"overhead_enabled\": {},\n",
-        num(overhead_enabled)
-    ));
-    out.push_str(&format!("  \"roundtrip_samples\": {roundtrip_samples},\n"));
-    out.push_str(&format!("  \"faulty_episodes\": {faulty},\n"));
-    out.push_str(&format!("  \"drift_coverage\": {},\n", num(coverage)));
-    out.push_str(&format!(
-        "  \"calm_false_positives\": {},\n",
-        calm.flagged_episodes.len()
-    ));
-    out.push_str(&format!(
-        "  \"chaos_digest\": \"{:#018x}\",\n",
-        chaos_runs[0].report.digest
-    ));
-    out.push_str(&format!(
-        "  \"fleet_digest\": \"{:#018x}\",\n",
-        fleet_digests[0]
-    ));
-    out.push_str("  \"exposition_file\": \"obs_exposition.prom\"\n");
-    out.push_str("}\n");
-    json::parse(&out).expect("artifact must be valid JSON");
-    std::fs::write("BENCH_obs.json", &out).expect("write BENCH_obs.json");
-    println!("\nall gates hold; wrote BENCH_obs.json (v2) and obs_exposition.prom");
+    write_artifact(
+        "BENCH_obs.json",
+        "obs_timeseries",
+        reps,
+        Object::new()
+            .field("smoke", smoke)
+            .field("combinations", combos.len())
+            .field("sweeps_per_rep", inner)
+            .field("baseline_ms", baseline_ms)
+            .field("disabled_ms", disabled_ms)
+            .field("enabled_ms", enabled_ms)
+            .field("overhead_disabled", overhead_disabled)
+            .field("overhead_enabled", overhead_enabled)
+            .field("roundtrip_samples", roundtrip_samples)
+            .field("faulty_episodes", faulty)
+            .field("drift_coverage", coverage)
+            .field("calm_false_positives", calm.flagged_episodes.len())
+            .field("chaos_digest", json::digest(chaos_runs[0].report.digest))
+            .field("fleet_digest", json::digest(fleet_digests[0]))
+            .field("exposition_file", "obs_exposition.prom"),
+    );
+    println!("\nall gates hold; wrote BENCH_obs.json and obs_exposition.prom");
 }

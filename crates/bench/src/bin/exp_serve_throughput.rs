@@ -27,9 +27,10 @@
 
 use heteromap::HeteroMap;
 use heteromap_accel::system::MultiAcceleratorSystem;
-use heteromap_bench::{all_combos, TextTable};
+use heteromap_bench::{all_combos, host_cpus, write_artifact, TextTable};
 use heteromap_graph::GraphStats;
 use heteromap_model::Workload;
+use heteromap_obs::json::{Object, Value};
 use heteromap_predict::nn::TrainConfig;
 use heteromap_predict::persist::{read_model, write_model, PersistedModel};
 use heteromap_predict::predictor::Objective;
@@ -130,7 +131,7 @@ fn main() {
     let repeats = 192;
     let thread_counts: &[usize] = if quick { &[4] } else { &[1, 4, 16] };
     let trials = 7;
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = host_cpus();
 
     // The mixed 81-combination stream: every (workload, dataset) pair,
     // interleaved, repeated so the cache warms like a real serving process.
@@ -285,50 +286,33 @@ fn main() {
         None => println!("alloc probe compiled out; steady-state allocation check skipped"),
     }
 
-    // No serde_json in the offline workspace; string fields go through the
-    // shared heteromap-obs JSON writer.
-    use heteromap_obs::json::escape;
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"serve_throughput\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    json.push_str(&format!("  \"requests\": {},\n", requests.len()));
-    json.push_str(&format!("  \"combinations\": {},\n", combos.len()));
-    json.push_str(&format!("  \"repeats\": {repeats},\n"));
-    json.push_str(&format!("  \"trials\": {trials},\n"));
-    json.push_str(&format!("  \"best_cached_speedup\": {best_cached:.4},\n"));
-    match steady_allocs {
-        Some(n) => json.push_str(&format!("  \"steady_state_allocs\": {n},\n")),
-        None => json.push_str("  \"steady_state_allocs\": null,\n"),
-    }
-    if uncached_scaling_16t.is_finite() {
-        json.push_str(&format!(
-            "  \"uncached_scaling_16t\": {uncached_scaling_16t:.4},\n"
-        ));
-    }
-    if cached_rps_16t.is_finite() {
-        json.push_str(&format!("  \"cached_rps_16t\": {cached_rps_16t:.2},\n"));
-    }
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mode\": {}, \"threads\": {}, \"throughput_rps\": {:.2}, \
-             \"hit_rate\": {:.4}, \"p50_ms\": {:.6}, \"p99_ms\": {:.6}, \
-             \"p50_ns\": {:.0}, \"p99_ns\": {:.0}}}{}\n",
-            escape(mode_tag(r.mode)),
-            r.threads,
-            r.throughput_rps,
-            r.hit_rate,
-            r.p50_ms,
-            r.p99_ms,
-            r.p50_ms * 1e6,
-            r.p99_ms * 1e6,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
+    let results = rows.iter().map(|r| {
+        Object::new()
+            .field("mode", mode_tag(r.mode))
+            .field("threads", r.threads)
+            .field("throughput_rps", r.throughput_rps)
+            .field("hit_rate", r.hit_rate)
+            .field("p50_ms", r.p50_ms)
+            .field("p99_ms", r.p99_ms)
+            .field("p50_ns", (r.p50_ms * 1e6).round())
+            .field("p99_ns", (r.p99_ms * 1e6).round())
+    });
+    write_artifact(
+        "BENCH_serve.json",
+        "serve_throughput",
+        trials,
+        Object::new()
+            .field("quick", quick)
+            .field("smoke", smoke)
+            .field("requests", requests.len())
+            .field("combinations", combos.len())
+            .field("repeats", repeats)
+            .field("best_cached_speedup", best_cached)
+            .field("steady_state_allocs", steady_allocs)
+            .field("uncached_scaling_16t", uncached_scaling_16t)
+            .field("cached_rps_16t", cached_rps_16t)
+            .field("results", results.collect::<Value>()),
+    );
     println!("wrote BENCH_serve.json ({} result rows)", rows.len());
 
     if gate_failed {

@@ -20,8 +20,9 @@
 
 use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::system::MultiAcceleratorSystem;
-use heteromap_bench::{all_combos, geomean, TextTable};
+use heteromap_bench::{all_combos, geomean, host_cpus, write_artifact, TextTable};
 use heteromap_model::{Accelerator, MConfig};
+use heteromap_obs::json::{Object, Value};
 use heteromap_predict::Trainer;
 use heteromap_tune::{CoarseRefine, EnsembleTuner, Strategy, TuneConfig};
 use std::time::Instant;
@@ -223,7 +224,7 @@ fn main() {
         "parallel generation must be bit-identical"
     );
     let speedup = serial_s / parallel_s;
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = host_cpus();
     println!(
         "database generation ({} samples, {} tuning evaluations): \
          serial {:.2}s, {}-thread {:.2}s -> {:.2}x (host has {host_cpus} cpus)",
@@ -241,54 +242,40 @@ fn main() {
         );
     }
 
-    use heteromap_obs::json::escape;
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"tune_quality\",\n");
-    json.push_str(&format!("  \"combos\": {},\n", combos.len()));
-    json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    json.push_str("  \"trials\": 1,\n"); // fixed-seed cells are deterministic
-
-    json.push_str("  \"gap_by_budget\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"strategy\": {}, \"budget\": {}, \"geomean_gap\": {:.6}, \
-             \"mean_evaluations\": {:.1}}}{}\n",
-            escape(c.strategy),
-            c.budget,
-            c.geomean_gap,
-            c.mean_evals,
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"curves\": [\n");
-    for (i, (name, budget, points)) in curves.iter().enumerate() {
-        let pts: Vec<String> = points
-            .iter()
-            .map(|(e, g)| format!("[{e}, {g:.6}]"))
-            .collect();
-        json.push_str(&format!(
-            "    {{\"strategy\": {}, \"budget\": {}, \"gap_vs_evaluations\": [{}]}}{}\n",
-            escape(name),
-            budget,
-            pts.join(", "),
-            if i + 1 < curves.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"database_generation\": {\n");
-    json.push_str(&format!("    \"samples\": {THROUGHPUT_SAMPLES},\n"));
-    json.push_str(&format!("    \"threads\": {THROUGHPUT_THREADS},\n"));
-    json.push_str(&format!(
-        "    \"tuning_evaluations\": {},\n",
-        serial_db.tuning_evaluations()
-    ));
-    json.push_str(&format!("    \"serial_seconds\": {serial_s:.4},\n"));
-    json.push_str(&format!("    \"parallel_seconds\": {parallel_s:.4},\n"));
-    json.push_str(&format!("    \"speedup\": {speedup:.4},\n"));
-    json.push_str("    \"bit_identical\": true\n");
-    json.push_str("  }\n}\n");
-    std::fs::write("BENCH_tune.json", &json).expect("write BENCH_tune.json");
+    let gaps = cells.iter().map(|c| {
+        Object::new()
+            .field("strategy", c.strategy)
+            .field("budget", c.budget)
+            .field("geomean_gap", c.geomean_gap)
+            .field("mean_evaluations", c.mean_evals)
+    });
+    let curve_rows = curves.iter().map(|(name, budget, points)| {
+        let points: Value = points.iter().map(|&(e, g)| vec![e as f64, g]).collect();
+        Object::new()
+            .field("strategy", name.as_str())
+            .field("budget", *budget)
+            .field("gap_vs_evaluations", points)
+    });
+    write_artifact(
+        "BENCH_tune.json",
+        "tune_quality",
+        1, // fixed-seed cells are deterministic
+        Object::new()
+            .field("combos", combos.len())
+            .field("gap_by_budget", gaps.collect::<Value>())
+            .field("curves", curve_rows.collect::<Value>())
+            .field(
+                "database_generation",
+                Object::new()
+                    .field("samples", THROUGHPUT_SAMPLES)
+                    .field("threads", THROUGHPUT_THREADS)
+                    .field("tuning_evaluations", serial_db.tuning_evaluations())
+                    .field("serial_seconds", serial_s)
+                    .field("parallel_seconds", parallel_s)
+                    .field("speedup", speedup)
+                    .field("bit_identical", true),
+            ),
+    );
     println!(
         "\nwrote BENCH_tune.json ({} gap cells, {} curves)",
         cells.len(),

@@ -2,8 +2,8 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure from the paper
 //! (see DESIGN.md §4 for the index); this library holds the pieces they
-//! share: geometric means, fixed-width table printing, and the standard
-//! evaluation grids.
+//! share: geometric means, fixed-width table printing, the standard
+//! evaluation grids, and the writer of the `BENCH_*.json` artifacts.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -12,6 +12,7 @@ pub mod harness;
 
 use heteromap_graph::datasets::Dataset;
 use heteromap_model::Workload;
+use heteromap_obs::json::{self, Object};
 use heteromap_predict::persist::read_database_file_lenient;
 use heteromap_predict::{Trainer, TrainingSet};
 
@@ -67,6 +68,37 @@ pub fn apply_obs_flags(args: impl IntoIterator<Item = String>) -> Vec<String> {
             }
         })
         .collect()
+}
+
+/// Schema version of every `BENCH_*.json` artifact. Version 3 is the
+/// first one all artifacts share (`BENCH_obs.json` was at 2).
+pub const ARTIFACT_VERSION: u32 = 3;
+
+/// The host's available parallelism, as artifacts record it (1 when it
+/// cannot be read).
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Writes a `BENCH_*.json` artifact at `path`: the shared header
+/// (`bench`, `version`, `host_cpus`, `trials`) followed by `body`'s
+/// fields, one per line, through [`heteromap_obs::json`]. `trials` is how
+/// many times each reported figure was measured.
+///
+/// # Panics
+///
+/// Panics if the document does not parse back or the file cannot be
+/// written: a bench must not leave a broken artifact behind.
+pub fn write_artifact(path: &str, bench: &str, trials: usize, body: Object) {
+    let text = Object::new()
+        .field("bench", bench)
+        .field("version", ARTIFACT_VERSION)
+        .field("host_cpus", host_cpus())
+        .field("trials", trials)
+        .append(body)
+        .to_document();
+    json::parse(&text).unwrap_or_else(|e| panic!("{path} does not parse back: {e}"));
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
 /// Geometric mean of positive values (the paper's aggregate of choice).

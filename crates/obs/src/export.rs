@@ -1,7 +1,7 @@
-//! Trace exporters: JSON snapshot, chrome://tracing file, flat phase table.
+//! Trace exporters: chrome://tracing file and flat phase table.
 
 use crate::event::{snapshot_events, EventRecord};
-use crate::json;
+use crate::json::{Object, Value};
 use crate::recorder::{snapshot_spans, SpanRecord};
 use crate::util::{utilization_report, UtilizationReport};
 use std::collections::BTreeMap;
@@ -64,49 +64,43 @@ impl TraceSnapshot {
     /// Spans become complete (`ph:"X"`) events with microsecond
     /// timestamps; structured events become instants (`ph:"i"`).
     pub fn chrome_trace_json(&self) -> String {
-        let mut out = String::with_capacity(128 * (self.spans.len() + self.events.len()) + 256);
-        out.push_str("{\"traceEvents\": [");
-        let mut first = true;
-        for span in &self.spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n  {{\"name\": {}, \"cat\": {}, \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \
-                 \"pid\": 1, \"tid\": {}, \"args\": {{\"id\": {}, \"parent\": {}}}}}",
-                json::escape(span.name),
-                json::escape(span.cat),
-                span.start_ns as f64 / 1_000.0,
-                span.dur_ns as f64 / 1_000.0,
-                span.thread,
-                span.id,
-                span.parent,
-            );
-        }
-        for event in &self.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n  {{\"name\": {}, \"cat\": \"event\", \"ph\": \"i\", \"ts\": {}, \
-                 \"s\": \"t\", \"pid\": 1, \"tid\": {}, \"args\": {{\"detail\": {}}}}}",
-                json::escape(event.kind),
-                event.ts_ns as f64 / 1_000.0,
-                event.thread,
-                json::escape(&event.detail),
-            );
-        }
-        let _ = write!(
-            out,
-            "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {{\"spans_dropped\": {}, \
-             \"events_dropped\": {}}}}}\n",
-            self.spans_dropped, self.events_dropped
-        );
-        out
+        let spans = self.spans.iter().map(|span| {
+            Object::new()
+                .field("name", span.name)
+                .field("cat", span.cat)
+                .field("ph", "X")
+                .field("ts", span.start_ns as f64 / 1_000.0)
+                .field("dur", span.dur_ns as f64 / 1_000.0)
+                .field("pid", 1)
+                .field("tid", span.thread)
+                .field(
+                    "args",
+                    Object::new()
+                        .field("id", span.id)
+                        .field("parent", span.parent),
+                )
+        });
+        let events = self.events.iter().map(|event| {
+            Object::new()
+                .field("name", event.kind)
+                .field("cat", "event")
+                .field("ph", "i")
+                .field("ts", event.ts_ns as f64 / 1_000.0)
+                .field("s", "t")
+                .field("pid", 1)
+                .field("tid", event.thread)
+                .field("args", Object::new().field("detail", event.detail.as_str()))
+        });
+        Object::new()
+            .field("traceEvents", spans.chain(events).collect::<Value>())
+            .field("displayTimeUnit", "ms")
+            .field(
+                "otherData",
+                Object::new()
+                    .field("spans_dropped", self.spans_dropped)
+                    .field("events_dropped", self.events_dropped),
+            )
+            .to_document()
     }
 
     /// Aggregates spans into per-(category, name) phase totals.
@@ -162,55 +156,6 @@ impl TraceSnapshot {
         }
         out
     }
-
-    /// Renders a compact JSON summary: phase totals, utilization, drop
-    /// counts. Bench artifacts embed this object.
-    pub fn summary_json(&self) -> String {
-        let mut out = String::from("{\"phases\": [");
-        for (i, p) in self.phase_breakdown().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"name\": {}, \"cat\": {}, \"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}",
-                json::escape(p.name),
-                json::escape(p.cat),
-                p.count,
-                p.total_ns,
-                p.max_ns
-            );
-        }
-        let _ = write!(
-            out,
-            "], \"spans\": {}, \"spans_dropped\": {}, \"events\": {}, \"events_dropped\": {}",
-            self.spans.len(),
-            self.spans_dropped,
-            self.events.len(),
-            self.events_dropped
-        );
-        out.push_str(", \"workers\": [");
-        for (i, w) in self.utilization.workers.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"worker\": {}, \"busy_ns\": {}, \"parked_ns\": {}, \"occupancy\": {}}}",
-                w.worker,
-                w.busy_ns,
-                w.parked_ns,
-                json::num(w.occupancy)
-            );
-        }
-        let _ = write!(
-            out,
-            "], \"regions\": {}, \"mean_occupancy\": {}}}",
-            self.utilization.regions,
-            json::num(self.utilization.mean_occupancy())
-        );
-        out
-    }
 }
 
 /// Aggregate statistics for one span name within a category.
@@ -250,6 +195,7 @@ pub fn write_chrome_trace(path: &std::path::Path) -> io::Result<TraceSnapshot> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     fn span(name: &'static str, cat: &'static str, start: u64, dur: u64) -> SpanRecord {
         SpanRecord {
@@ -346,19 +292,6 @@ mod tests {
         assert!(table.contains("predict"));
         assert!(table.contains("ivector"));
         assert!(table.contains("dropped: 3 spans"));
-    }
-
-    #[test]
-    fn summary_json_is_valid_and_complete() {
-        let snap = sample_snapshot();
-        let doc = json::parse(&snap.summary_json()).expect("valid JSON");
-        assert_eq!(doc.get("spans").unwrap().as_f64(), Some(3.0));
-        assert_eq!(doc.get("spans_dropped").unwrap().as_f64(), Some(3.0));
-        let workers = doc.get("workers").unwrap().as_array().unwrap();
-        assert_eq!(workers.len(), 2);
-        assert_eq!(workers[0].get("busy_ns").unwrap().as_f64(), Some(80.0));
-        let phases = doc.get("phases").unwrap().as_array().unwrap();
-        assert_eq!(phases.len(), 2);
     }
 
     #[test]

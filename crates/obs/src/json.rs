@@ -1,13 +1,15 @@
-//! Minimal hand-rolled JSON: a string-building writer and a
+//! Minimal JSON for a dependency-free workspace: one ordered writer and a
 //! recursive-descent parser.
 //!
-//! The workspace is dependency-free, so every artifact emitter
-//! (`BENCH_*.json`, metrics snapshots, chrome://tracing files) previously
-//! carried its own escape/format logic. This module is the single shared
-//! implementation; the parser exists so tests and the CI smoke bin can
-//! round-trip what the writer produced.
+//! Every document the workspace emits — the `BENCH_*.json` artifacts, the
+//! metrics snapshots and the chrome://tracing files — is built as an
+//! [`Object`] and rendered by [`Object::to_document`], so the syntax lives
+//! here only: strings go through [`escape`], numbers through [`num`]
+//! (shortest round-trip, `null` when not finite), `None` renders as
+//! `null`, and 64-bit digests are `"0x%016x"` strings ([`digest`]). The
+//! parser reads documents back into the same [`Value`], so tests and the
+//! bench bins check exactly what the writer produced.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Appends `s` to `out` as a JSON string literal (with quotes).
@@ -46,28 +48,34 @@ pub fn num(v: f64) -> String {
     }
 }
 
-/// A parsed JSON value.
+/// A 64-bit digest as the `"0x%016x"` string every document uses (a JSON
+/// number would lose bits above 2^53).
+pub fn digest(d: u64) -> Value {
+    Value::String(format!("{d:#018x}"))
+}
+
+/// A JSON value: what the writer renders and the parser returns.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (parsed as `f64`).
+    /// Any number (held as `f64`; integers are exact up to 2^53).
     Number(f64),
     /// A string.
     String(String),
     /// An array.
     Array(Vec<Value>),
-    /// An object; key order is not preserved.
-    Object(BTreeMap<String, Value>),
+    /// An object.
+    Object(Object),
 }
 
 impl Value {
     /// The value under `key` if this is an object holding it.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Object(map) => map.get(key),
+            Value::Object(object) => object.get(key),
             _ => None,
         }
     }
@@ -94,6 +102,157 @@ impl Value {
             Value::String(s) => Some(s),
             _ => None,
         }
+    }
+
+    /// Whether this is an array or an object (a row of a table).
+    fn is_container(&self) -> bool {
+        matches!(self, Value::Array(_) | Value::Object(_))
+    }
+
+    /// Appends the one-line rendering of this value to `out`.
+    fn write_into(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Number(n) => out.push_str(&num(*n)),
+            Value::String(s) => escape_into(out, s),
+            Value::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    item.write_into(out);
+                }
+                out.push(']');
+            }
+            Value::Object(object) => {
+                out.push('{');
+                for (i, (key, value)) in object.0.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    escape_into(out, key);
+                    out.push_str(": ");
+                    value.write_into(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+/// A JSON object whose fields keep the order they were added (or parsed)
+/// in. Build one with [`Object::field`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Object(Vec<(String, Value)>);
+
+impl Object {
+    /// An empty object.
+    pub fn new() -> Self {
+        Object::default()
+    }
+
+    /// Appends `key: value` (builder style).
+    pub fn field(mut self, key: &str, value: impl Into<Value>) -> Self {
+        self.0.push((key.to_string(), value.into()));
+        self
+    }
+
+    /// The value under `key`; the last one when a key repeats.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.0.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Appends `other`'s fields after this object's own.
+    pub fn append(mut self, other: Object) -> Self {
+        self.0.extend(other.0);
+        self
+    }
+
+    /// Renders the object as a line-diffable document ending in a newline:
+    /// one field per line, and each row of a field that holds arrays or
+    /// objects on a line of its own. Everything deeper stays on its line.
+    pub fn to_document(&self) -> String {
+        let mut out = String::from("{");
+        for (i, (key, value)) in self.0.iter().enumerate() {
+            out.push_str(if i > 0 { ",\n  " } else { "\n  " });
+            escape_into(&mut out, key);
+            out.push_str(": ");
+            match value {
+                Value::Array(rows) if rows.iter().any(Value::is_container) => {
+                    out.push('[');
+                    for (j, row) in rows.iter().enumerate() {
+                        out.push_str(if j > 0 { ",\n    " } else { "\n    " });
+                        row.write_into(&mut out);
+                    }
+                    out.push_str("\n  ]");
+                }
+                _ => value.write_into(&mut out),
+            }
+        }
+        out.push_str(if self.0.is_empty() { "}\n" } else { "\n}\n" });
+        out
+    }
+}
+
+macro_rules! number_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(v: $t) -> Self {
+                Value::Number(v as f64)
+            }
+        }
+    )*};
+}
+
+number_from!(f64, u32, u64, usize, i32);
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::String(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Self {
+        Value::String(s)
+    }
+}
+
+impl From<Object> for Value {
+    fn from(object: Object) -> Self {
+        Value::Object(object)
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(items: Vec<T>) -> Self {
+        items.into_iter().collect()
+    }
+}
+
+impl<T: Into<Value> + Clone> From<&[T]> for Value {
+    fn from(items: &[T]) -> Self {
+        items.iter().cloned().collect()
+    }
+}
+
+impl<T: Into<Value>> FromIterator<T> for Value {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        Value::Array(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -263,11 +422,11 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Value, String> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+        let mut object = Object::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
+            return Ok(Value::Object(object));
         }
         loop {
             self.skip_ws();
@@ -276,13 +435,13 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            map.insert(key, value);
+            object.0.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(map));
+                    return Ok(Value::Object(object));
                 }
                 _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
             }
@@ -339,6 +498,69 @@ mod tests {
         let parsed = parse(&doc).unwrap();
         assert_eq!(parsed.get("msg").unwrap().as_str(), Some(original));
         assert_eq!(parsed.get("v").unwrap().as_f64(), Some(0.25));
+    }
+
+    #[test]
+    fn documents_round_trip_through_the_parser() {
+        let text = "tab\t\"quoted\" back\\slash \u{1} ☃";
+        let rows = vec![
+            Object::new()
+                .field("a", 1u32)
+                .field("inner", Object::new().field("xs", vec![vec![1.5, -2.0]])),
+            Object::new(),
+        ];
+        let doc = Object::new()
+            .field("s", text)
+            .field("x", 0.1)
+            .field("count", 42u64)
+            .field("nan", f64::NAN)
+            .field("inf", f64::NEG_INFINITY)
+            .field("none", None::<f64>)
+            .field("some", Some(2.5))
+            .field("digest", digest(0x6c41_bd79_8c46_6854))
+            .field("small_digest", digest(7))
+            .field("flag", false)
+            .field("scalars", [1usize, 4, 16].as_slice())
+            .field("rows", rows);
+        let rendered = doc.to_document();
+        let parsed = parse(&rendered).expect("writer output parses");
+
+        let Value::Object(reparsed) = &parsed else {
+            panic!("a document is an object");
+        };
+        assert_eq!(reparsed.to_document(), rendered, "order and values survive");
+        assert_eq!(parsed.get("s").unwrap().as_str(), Some(text));
+        assert_eq!(parsed.get("x").unwrap().as_f64(), Some(0.1));
+        assert_eq!(parsed.get("count").unwrap().as_f64(), Some(42.0));
+        for key in ["nan", "inf", "none"] {
+            assert_eq!(parsed.get(key), Some(&Value::Null), "{key}");
+        }
+        assert_eq!(parsed.get("some").unwrap().as_f64(), Some(2.5));
+        assert_eq!(parsed.get("flag"), Some(&Value::Bool(false)));
+        let hex = parsed.get("digest").unwrap().as_str().unwrap();
+        assert_eq!(hex, "0x6c41bd798c466854");
+        assert_eq!(
+            u64::from_str_radix(&hex[2..], 16),
+            Ok(0x6c41_bd79_8c46_6854)
+        );
+        assert_eq!(
+            parsed.get("small_digest").unwrap().as_str(),
+            Some("0x0000000000000007")
+        );
+        assert_eq!(parsed.get("scalars"), Some(&Value::from(vec![1, 4, 16])));
+        let parsed_rows = parsed.get("rows").unwrap().as_array().unwrap();
+        assert_eq!(parsed_rows.len(), 2);
+        assert_eq!(
+            parsed_rows[0].get("inner").unwrap().get("xs"),
+            Some(&Value::from(vec![vec![1.5, -2.0]]))
+        );
+        assert_eq!(parsed_rows[1], Value::Object(Object::new()));
+
+        // One line per field, plus one per row and the rows' closing bracket.
+        assert_eq!(rendered.lines().count(), 2 + 12 + 2 + 1);
+        assert!(rendered.contains("\n  \"scalars\": [1, 4, 16],\n"));
+        assert!(rendered.contains("\n    {\"a\": 1, \"inner\": {\"xs\": [[1.5, -2]]}},\n"));
+        assert!(rendered.ends_with("\n  ]\n}\n"));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Cross-layer observability for the HeteroMap reproduction: spans, a
 //! lock-free flight recorder, per-worker utilization, a structured event
-//! log, and exporters (chrome://tracing, JSON summaries, phase tables).
+//! log, exporters (chrome://tracing, phase tables), and the one JSON writer
+//! every artifact goes through.
 //!
 //! # Design
 //!
@@ -25,9 +26,11 @@
 //!   fleet placer. Gated on [`metrics_enabled`] (`HETEROMAP_METRICS`),
 //!   same one-relaxed-load cost model as the trace level.
 //! * **Exporters** ([`snapshot`], [`TraceSnapshot::chrome_trace_json`],
-//!   [`TraceSnapshot::phase_table`], [`TraceSnapshot::summary_json`]) turn
-//!   the recorded data into chrome://tracing files, aligned tables, and
-//!   JSON objects for bench artifacts.
+//!   [`TraceSnapshot::phase_table`]) turn the recorded data into
+//!   chrome://tracing files and aligned tables.
+//! * **JSON** ([`json`]) is the one ordered writer and parser behind every
+//!   document the workspace emits: the chrome trace, the metrics and serve
+//!   snapshots, and the `BENCH_*.json` artifacts.
 //!
 //! # Cost model
 //!

@@ -9,7 +9,7 @@
 //! bucket. Numbers render through Rust's shortest-round-trip `Display`, so
 //! parsing a rendered value back yields the identical `f64`.
 
-use crate::json;
+use crate::json::{Object, Value};
 
 /// The frozen value of one series.
 #[derive(Debug, Clone, PartialEq)]
@@ -350,71 +350,48 @@ fn parse_value(s: &str) -> Result<f64, String> {
     }
 }
 
-/// Renders a frozen series list as a JSON object via the shared
-/// [`crate::json`] writer (no serde in the workspace; non-finite numbers
-/// become `null`, matching the other emitters).
+/// Renders a frozen series list as a JSON document, one series per line.
+/// A histogram's buckets carry per-bucket (not cumulative) counts, and
+/// the overflow bucket's `le` is `null`.
 pub fn snapshot_json(series: &[SeriesSnapshot]) -> String {
-    let mut out = String::from("{\"series\": [");
-    for (i, s) in series.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"name\": {}, \"labels\": {{",
-            json::escape(&s.name)
-        ));
-        for (j, (k, v)) in s.labels.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {}", json::escape(k), json::escape(v)));
-        }
-        out.push_str(&format!(
-            "}}, \"type\": {}, ",
-            json::escape(s.value.type_name())
-        ));
+    let rows = series.iter().map(|s| {
+        let labels = s
+            .labels
+            .iter()
+            .fold(Object::new(), |o, (k, v)| o.field(k, v.as_str()));
+        let row = Object::new()
+            .field("name", s.name.as_str())
+            .field("labels", labels)
+            .field("type", s.value.type_name());
         match &s.value {
-            SeriesValue::Counter(v) => out.push_str(&format!("\"value\": {v}")),
-            SeriesValue::Gauge(v) => out.push_str(&format!("\"value\": {}", json::num(*v))),
+            SeriesValue::Counter(v) => row.field("value", *v),
+            SeriesValue::Gauge(v) => row.field("value", *v),
             SeriesValue::Histogram {
                 bounds,
                 buckets,
                 sum,
                 count,
             } => {
-                out.push_str("\"buckets\": [");
-                for (j, bound) in bounds.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!(
-                        "{{\"le\": {}, \"count\": {}}}",
-                        json::num(*bound),
-                        buckets.get(j).copied().unwrap_or(0)
-                    ));
-                }
-                if !bounds.is_empty() {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"le\": null, \"count\": {}}}",
-                    buckets.last().copied().unwrap_or(0)
-                ));
-                out.push_str(&format!(
-                    "], \"sum\": {}, \"count\": {count}",
-                    json::num(*sum)
-                ));
+                let les = bounds.iter().map(|&b| Some(b)).chain([None]);
+                let buckets: Value = les
+                    .zip(buckets)
+                    .map(|(le, &n)| Object::new().field("le", le).field("count", n))
+                    .collect();
+                row.field("buckets", buckets)
+                    .field("sum", *sum)
+                    .field("count", *count)
             }
         }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+    });
+    Object::new()
+        .field("series", rows.collect::<Value>())
+        .to_document()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     fn counter(name: &str, labels: &[(&str, &str)], v: u64) -> SeriesSnapshot {
         SeriesSnapshot {

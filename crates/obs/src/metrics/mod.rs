@@ -45,8 +45,8 @@ pub use expose::{
     SeriesValue,
 };
 pub use timeseries::{
-    quantile_from_buckets, Counter, Gauge, Histogram, PeakGauge, WindowRing, WindowStat,
-    BATCH_BOUNDS, COUNTER_SHARDS, LATENCY_BOUNDS_MS, WINDOW_RING_CAPACITY,
+    quantile_from_buckets, Counter, Gauge, Histogram, WindowRing, WindowStat, COUNTER_SHARDS,
+    LATENCY_BOUNDS_MS, WINDOW_RING_CAPACITY,
 };
 
 use std::collections::BTreeMap;
@@ -111,7 +111,6 @@ pub fn global() -> &'static MetricsHub {
 enum Instrument {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    PeakGauge(Arc<PeakGauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -120,7 +119,6 @@ impl Instrument {
         match self {
             Instrument::Counter(_) => "counter",
             Instrument::Gauge(_) => "gauge",
-            Instrument::PeakGauge(_) => "peak gauge",
             Instrument::Histogram(_) => "histogram",
         }
     }
@@ -146,7 +144,7 @@ struct HubInner {
     series: BTreeMap<SeriesKey, SeriesEntry>,
 }
 
-/// A label-aware registry of counters, gauges, peak gauges and histograms
+/// A label-aware registry of counters, gauges and histograms
 /// with windowed ring aggregation. See the [module docs](self) for the
 /// design.
 #[derive(Debug)]
@@ -264,27 +262,6 @@ impl MetricsHub {
         }
     }
 
-    /// Registers (or fetches) a high-watermark gauge series: it keeps the
-    /// largest value observed, is exposed as a Prometheus gauge, and rolls
-    /// like a [`MetricsHub::gauge`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`MetricsHub::counter`].
-    pub fn peak_gauge(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        help: &'static str,
-    ) -> Arc<PeakGauge> {
-        match self.register(name, labels, help, || {
-            Instrument::PeakGauge(Arc::new(PeakGauge::new()))
-        }) {
-            Instrument::PeakGauge(g) => g,
-            other => panic!("series {name:?} already registered as {}", other.kind()),
-        }
-    }
-
     /// Registers (or fetches) a histogram series over `bounds`.
     ///
     /// # Panics
@@ -330,12 +307,6 @@ impl MetricsHub {
                     index,
                     count: 1,
                     sum: g.get(),
-                    p99: f64::NAN,
-                },
-                Instrument::PeakGauge(g) => WindowStat {
-                    index,
-                    count: 1,
-                    sum: g.get() as f64,
                     p99: f64::NAN,
                 },
                 Instrument::Histogram(h) => {
@@ -392,7 +363,6 @@ impl MetricsHub {
                 value: match &entry.instrument {
                     Instrument::Counter(c) => SeriesValue::Counter(c.get()),
                     Instrument::Gauge(g) => SeriesValue::Gauge(g.get()),
-                    Instrument::PeakGauge(g) => SeriesValue::Gauge(g.get() as f64),
                     Instrument::Histogram(h) => SeriesValue::Histogram {
                         bounds: h.bounds().to_vec(),
                         buckets: h.bucket_counts(),
@@ -480,31 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_gauges_expose_and_roll_as_gauges() {
-        let hub = MetricsHub::new();
-        let peak = hub.peak_gauge("depth_peak", &[("lane", "0")], "peak depth");
-        peak.observe(4);
-        peak.observe(2);
-        hub.roll();
-        peak.observe(7);
-        hub.roll();
-        let windows = hub.windows("depth_peak", &[("lane", "0")]);
-        assert_eq!((windows[0].count, windows[0].sum), (1, 4.0));
-        assert_eq!(windows[1].sum, 7.0);
-        let text = hub.prometheus_text();
-        assert!(text.contains("# TYPE depth_peak gauge\n"));
-        assert!(text.contains("depth_peak{lane=\"0\"} 7\n"));
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered as peak gauge")]
-    fn peak_gauge_kind_is_checked() {
-        let hub = MetricsHub::new();
-        hub.peak_gauge("depth_peak", &[], "h");
-        hub.gauge("depth_peak", &[], "h");
-    }
-
-    #[test]
     fn empty_histogram_window_has_nan_p99() {
         let hub = MetricsHub::new();
         let _h = hub.histogram("lat_ms", &[], "latency", &LATENCY_BOUNDS_MS);
@@ -556,7 +501,8 @@ mod tests {
         let hub = MetricsHub::new();
         hub.counter("a_total", &[("k", "v w")], "a").add(9);
         hub.gauge("b", &[], "b").set(1.25);
-        hub.histogram("c_ms", &[], "c", &BATCH_BOUNDS).record(3.0);
+        hub.histogram("c_ms", &[], "c", &[1.0, 2.0, 4.0])
+            .record(3.0);
         let snap = hub.snapshot();
         let parsed = parse_prometheus(&hub.prometheus_text()).unwrap();
         assert_eq!(parsed, samples(&snap));

@@ -1,9 +1,8 @@
-//! Lock-free metric primitives: sharded counters, gauges, peak gauges and
-//! fixed-bucket histograms, plus the fixed-width window ring they aggregate
-//! into.
+//! Lock-free metric primitives: sharded counters, gauges and fixed-bucket
+//! histograms, plus the fixed-width window ring they aggregate into.
 //!
-//! Everything records through `std::sync::atomic` integer operations only —
-//! `fetch_add`/`fetch_max` are commutative and associative, so the totals a
+//! Counters and histograms record through `std::sync::atomic` integer
+//! operations only — `fetch_add` is commutative and associative, so the totals a
 //! [`crate::metrics::MetricsHub`] reads are bit-identical no matter how many
 //! threads recorded or in what order. That integer-only discipline is what
 //! lets the chaos/fleet simulators publish telemetry without perturbing
@@ -63,29 +62,6 @@ impl Counter {
     }
 }
 
-/// A high-watermark gauge (records the maximum observed value).
-/// Cache-line aligned for the same reason as [`Counter`]'s shards.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub struct PeakGauge(AtomicU64);
-
-impl PeakGauge {
-    /// Creates a zeroed gauge.
-    pub fn new() -> Self {
-        PeakGauge::default()
-    }
-
-    /// Records an observation, keeping the maximum.
-    pub fn observe(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// The peak observed so far.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// A last-value gauge holding an `f64` (stored as raw bits in one atomic).
 ///
 /// `set` is a plain store, *not* commutative — deterministic users must set
@@ -129,11 +105,6 @@ pub const LATENCY_BOUNDS_MS: [f64; 31] = [
     1000.0, 2000.0, 5000.0,
 ];
 
-/// Upper bucket bounds for batch-size histograms.
-pub const BATCH_BOUNDS: [f64; 12] = [
-    1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0, 128.0, 256.0,
-];
-
 /// A fixed-bucket histogram with atomic buckets.
 ///
 /// Quantiles are resolved to the upper bound of the bucket holding the
@@ -155,11 +126,6 @@ impl Histogram {
     /// A histogram over [`LATENCY_BOUNDS_MS`] (values in milliseconds).
     pub fn latency_ms() -> Self {
         Histogram::with_bounds(&LATENCY_BOUNDS_MS)
-    }
-
-    /// A histogram over [`BATCH_BOUNDS`] (values are batch sizes).
-    pub fn batch_sizes() -> Self {
-        Histogram::with_bounds(&BATCH_BOUNDS)
     }
 
     /// A histogram over caller-supplied upper bounds (ascending; one
@@ -343,6 +309,11 @@ impl WindowRing {
 mod tests {
     use super::*;
 
+    /// Small integer bounds, so quantiles land on exact values.
+    const SMALL_BOUNDS: [f64; 12] = [
+        1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0, 128.0, 256.0,
+    ];
+
     #[test]
     fn counters_accumulate_across_shards() {
         let c = Counter::new();
@@ -377,18 +348,8 @@ mod tests {
     }
 
     #[test]
-    fn peak_gauge_keeps_maximum() {
-        let g = PeakGauge::new();
-        g.observe(3);
-        g.observe(9);
-        g.observe(5);
-        assert_eq!(g.get(), 9);
-    }
-
-    #[test]
     fn hot_atomics_are_cache_line_padded() {
         assert!(std::mem::align_of::<Counter>() >= 64);
-        assert!(std::mem::align_of::<PeakGauge>() >= 64);
         assert!(std::mem::align_of::<Gauge>() >= 64);
     }
 
@@ -514,8 +475,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_bounds_cover_small_batches_exactly() {
-        let h = Histogram::batch_sizes();
+    fn small_integer_bounds_resolve_quantiles_exactly() {
+        let h = Histogram::with_bounds(&SMALL_BOUNDS);
         for size in [1.0, 2.0, 3.0, 4.0] {
             h.record(size);
         }
@@ -545,16 +506,16 @@ mod tests {
 
     #[test]
     fn histogram_accessors_expose_buckets_and_sum() {
-        let h = Histogram::batch_sizes();
+        let h = Histogram::with_bounds(&SMALL_BOUNDS);
         h.record(1.0);
         h.record(1.0);
         h.record(300.0); // overflow bucket
         let counts = h.bucket_counts();
-        assert_eq!(counts.len(), BATCH_BOUNDS.len() + 1);
+        assert_eq!(counts.len(), SMALL_BOUNDS.len() + 1);
         assert_eq!(counts[0], 2);
         assert_eq!(*counts.last().unwrap(), 1);
         assert!((h.sum() - 302.0).abs() < 1e-9);
-        assert_eq!(h.bounds(), &BATCH_BOUNDS);
+        assert_eq!(h.bounds(), &SMALL_BOUNDS);
     }
 
     #[test]

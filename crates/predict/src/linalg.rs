@@ -9,12 +9,12 @@
 //! partial sums (one per unrolled lane) and combines them in a **fixed
 //! reduction tree**. Independent accumulators break the sequential
 //! dependence chain, so the compiler vectorizes the inner loop (f64x4/f64x8
-//! on AVX hardware) and the CPU overlaps the multiplies — this is where the
-//! batched inference path gets its throughput. The combine order is part of
-//! the contract: [`dot_lanes_reference`] is a deliberately naive scalar
-//! transcription of the *same* arithmetic order, kept as the
-//! bit-equivalence oracle for the optimized kernels. Every prediction path
-//! (single, batched, blocked) must agree with the reference bit-for-bit.
+//! on AVX hardware) and the CPU overlaps the multiplies. The combine order
+//! is part of the contract: [`dot_lanes_reference`] is a deliberately naive
+//! scalar transcription of the *same* arithmetic order, kept as the
+//! bit-equivalence oracle for the optimized kernels. Inference and training
+//! share [`matvec_bias`], and both must agree with the reference
+//! bit-for-bit.
 
 /// Unroll width of the lane kernels. Eight f64 accumulators cover an
 /// f32x8-style register blocking on AVX2 (two f64x4 vectors) while staying a
@@ -81,50 +81,6 @@ pub fn matvec_bias(weights: &[f64], biases: &[f64], inputs: usize, x: &[f64], ou
     assert_eq!(out.len(), outputs, "output vector shape");
     for (o, (row, slot)) in weights.chunks_exact(inputs).zip(out.iter_mut()).enumerate() {
         *slot = dot_lanes(row, x) + biases[o];
-    }
-}
-
-/// Row block size of the cache-blocked batched kernel: 16 weight rows of
-/// width ≤ 128 are ≤ 16 KiB of f64 — they stay L1-resident while the block
-/// sweeps every sample in the batch.
-const ROW_BLOCK: usize = 16;
-
-/// Cache-blocked batched `out[n] = W · xs[n] + bias` over `n_rows` samples
-/// stored as flat row-major `n_rows × inputs` (the activation arena layout).
-///
-/// The weight matrix is walked in [`ROW_BLOCK`]-row blocks with the sample
-/// loop inside, so each weight block is loaded from cache once per batch
-/// instead of once per sample. Every `(sample, output)` element is computed
-/// by the same [`dot_lanes`] call as the unbatched [`matvec_bias`], so
-/// blocking cannot change a single bit of the result.
-///
-/// # Panics
-///
-/// Panics if the slice shapes disagree.
-pub fn matmul_bias_blocked(
-    weights: &[f64],
-    biases: &[f64],
-    inputs: usize,
-    xs: &[f64],
-    n_rows: usize,
-    out: &mut [f64],
-) {
-    let outputs = biases.len();
-    assert_eq!(weights.len(), inputs * outputs, "weight matrix shape");
-    assert_eq!(xs.len(), n_rows * inputs, "input arena shape");
-    assert_eq!(out.len(), n_rows * outputs, "output arena shape");
-    let mut block_start = 0;
-    while block_start < outputs {
-        let block_end = (block_start + ROW_BLOCK).min(outputs);
-        for n in 0..n_rows {
-            let x = &xs[n * inputs..(n + 1) * inputs];
-            let out_row = &mut out[n * outputs..(n + 1) * outputs];
-            for o in block_start..block_end {
-                let row = &weights[o * inputs..(o + 1) * inputs];
-                out_row[o] = dot_lanes(row, x) + biases[o];
-            }
-        }
-        block_start = block_end;
     }
 }
 
@@ -409,35 +365,6 @@ mod tests {
             let expect =
                 dot_lanes_reference(&weights[o * inputs..(o + 1) * inputs], &x) + biases[o];
             assert_eq!(out[o].to_bits(), expect.to_bits(), "row {o}");
-        }
-    }
-
-    #[test]
-    fn blocked_matmul_is_bit_identical_to_repeated_matvec() {
-        // Widths straddling ROW_BLOCK and LANES boundaries.
-        for (inputs, outputs, n_rows) in [(17, 20, 5), (128, 128, 3), (13, 33, 9), (8, 16, 1)] {
-            let weights = wavy(inputs * outputs, 0.9);
-            let biases = wavy(outputs, 2.5);
-            let xs = wavy(n_rows * inputs, 1.7);
-            let mut blocked = vec![0.0; n_rows * outputs];
-            matmul_bias_blocked(&weights, &biases, inputs, &xs, n_rows, &mut blocked);
-            let mut single = vec![0.0; outputs];
-            for n in 0..n_rows {
-                matvec_bias(
-                    &weights,
-                    &biases,
-                    inputs,
-                    &xs[n * inputs..(n + 1) * inputs],
-                    &mut single,
-                );
-                for o in 0..outputs {
-                    assert_eq!(
-                        blocked[n * outputs + o].to_bits(),
-                        single[o].to_bits(),
-                        "sample {n} row {o} ({inputs}x{outputs})"
-                    );
-                }
-            }
         }
     }
 }

@@ -6,7 +6,7 @@
 //! per-sample (online) SGD with momentum on MSE loss, implemented from
 //! scratch (no external ML dependency).
 
-use crate::linalg::{dot_lanes_reference, matmul_bias_blocked, matvec_bias};
+use crate::linalg::{dot_lanes_reference, matvec_bias};
 use crate::predictor::{features, Predictor, TrainingSet};
 use heteromap_model::{BVector, IVector, MConfig, BI_DIM, M_DIM};
 use rand::rngs::StdRng;
@@ -116,10 +116,10 @@ fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
-/// Reusable flat activation arena for the forward pass: two row-major
-/// ping-pong buffers sized `batch × widest-layer`. One scratch per worker
-/// thread makes inference allocation-free in steady state — the buffers grow
-/// to the largest batch seen and are then reused verbatim.
+/// Reusable activation buffers for the forward pass: two ping-pong
+/// buffers sized to the widest layer. One scratch per worker thread makes
+/// inference allocation-free in steady state — the buffers grow on first
+/// use and are then reused verbatim.
 #[derive(Debug, Default, Clone)]
 pub struct InferenceScratch {
     ping: Vec<f64>,
@@ -288,65 +288,35 @@ impl NeuralPredictor {
     /// using `scratch` for intermediate activations. Allocation-free once
     /// the scratch is warm.
     ///
+    /// Every layer runs [`matvec_bias`], the trainer's own kernel, then
+    /// the sigmoid, so outputs are **bit-identical** to training's forward
+    /// pass and to [`NeuralPredictor::forward_reference`].
+    ///
     /// # Panics
     ///
     /// Panics if `out.len()` is not the output layer's width.
     pub fn forward_into(&self, x: &[f64; BI_DIM], scratch: &mut InferenceScratch, out: &mut [f64]) {
-        self.forward_batch_into(x.as_slice(), 1, scratch, out);
-    }
-
-    /// Batched forward pass over a flat row-major `n × BI_DIM` input arena
-    /// into a flat row-major `n × M_DIM` output buffer — the allocation-free
-    /// core every prediction path funnels through.
-    ///
-    /// Each layer is one cache-blocked matrix-matrix product
-    /// ([`matmul_bias_blocked`]): weight-row blocks stay L1-resident while
-    /// sweeping the batch, intermediate activations live in the flat
-    /// ping-pong arena of `scratch`. Every `(sample, neuron)` element is
-    /// reduced by the same lane-ordered kernel as single-sample inference,
-    /// so batched outputs are **bit-identical** to per-sample outputs, and
-    /// both are bit-identical to [`NeuralPredictor::forward_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len() != n × BI_DIM` or `out.len() != n × M_DIM`.
-    pub fn forward_batch_into(
-        &self,
-        xs: &[f64],
-        n: usize,
-        scratch: &mut InferenceScratch,
-        out: &mut [f64],
-    ) {
-        assert_eq!(xs.len(), n * BI_DIM, "input arena shape");
         let last = self.layers.len() - 1;
-        assert_eq!(out.len(), n * self.layers[last].outputs, "output shape");
+        assert_eq!(out.len(), self.layers[last].outputs, "output shape");
         let width = self.max_width();
-        scratch.ping.resize(n * width, 0.0);
-        scratch.pong.resize(n * width, 0.0);
+        scratch.ping.resize(width, 0.0);
+        scratch.pong.resize(width, 0.0);
         // `ping` holds the current layer's input (except layer 0, which
-        // reads `xs` directly); each layer writes `pong` (or `out`) and the
+        // reads `x` directly); each layer writes `pong` (or `out`) and the
         // buffers swap.
-        let mut first = true;
         for (l, layer) in self.layers.iter().enumerate() {
-            let input: &[f64] = if first { xs } else { &scratch.ping };
+            let input: &[f64] = if l == 0 {
+                x
+            } else {
+                &scratch.ping[..layer.inputs]
+            };
             let target: &mut [f64] = if l == last {
                 out
             } else {
-                &mut scratch.pong[..n * layer.outputs]
+                &mut scratch.pong[..layer.outputs]
             };
-            matmul_bias_blocked(
-                &layer.weights,
-                &layer.biases,
-                layer.inputs,
-                &input[..n * layer.inputs],
-                n,
-                target,
-            );
-            for v in target.iter_mut() {
-                *v = sigmoid(*v);
-            }
+            layer.forward_into(input, target);
             std::mem::swap(&mut scratch.ping, &mut scratch.pong);
-            first = false;
         }
     }
 

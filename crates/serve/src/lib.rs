@@ -43,7 +43,7 @@
 //! let second = engine.schedule(Workload::PageRank, Dataset::LiveJournal);
 //! assert_eq!(second.source, ServeSource::CacheHit);
 //! assert_eq!(first.placement.config, second.placement.config);
-//! println!("{}", engine.metrics().snapshot().to_json());
+//! print!("{}", engine.metrics().snapshot().to_json());
 //! ```
 
 #![warn(missing_docs)]

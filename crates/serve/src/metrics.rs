@@ -17,6 +17,7 @@
 
 use heteromap::Placement;
 use heteromap_model::Accelerator;
+use heteromap_obs::json::Object;
 use heteromap_obs::metrics::{MetricsHub, SeriesSnapshot, SeriesValue, LATENCY_BOUNDS_MS};
 use std::sync::Arc;
 
@@ -310,61 +311,43 @@ pub struct MetricsSnapshot {
     pub extra: Vec<(String, u64)>,
 }
 
-/// Fixed-precision rendering for latency/ratio fields; non-finite values
-/// become `null` via the shared writer.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        heteromap_obs::json::num(v)
-    }
-}
-
 impl MetricsSnapshot {
-    /// Renders the snapshot as a JSON object via the shared
-    /// [`heteromap_obs::json`] writer (the workspace vendors no serde_json;
-    /// non-finite values render as `null`).
+    /// Renders the snapshot as a JSON document through
+    /// [`heteromap_obs::json`], one field per line (`NaN` fields, such as
+    /// the hit rate before any lookup, render as `null`).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let mut field = |k: &str, v: String| {
-            s.push_str(&format!("  {}: {v},\n", heteromap_obs::json::escape(k)));
-        };
-        field("cache_hits", self.cache_hits.to_string());
-        field("cache_misses", self.cache_misses.to_string());
-        field("cache_hit_rate", json_num(self.cache_hit_rate));
-        field("cache_evictions", self.cache_evictions.to_string());
-        field("cache_invalidations", self.cache_invalidations.to_string());
-        field("gpu_placements", self.gpu_placements.to_string());
-        field(
-            "multicore_placements",
-            self.multicore_placements.to_string(),
-        );
-        field("failed_placements", self.failed_placements.to_string());
-        field("stream_chunks", self.stream_chunks.to_string());
-        field("stream_restreams", self.stream_restreams.to_string());
-        field("admitted", self.admitted.to_string());
-        field("rejected_overload", self.rejected_overload.to_string());
-        field("rejected_unhealthy", self.rejected_unhealthy.to_string());
-        field("deadline_misses", self.deadline_misses.to_string());
-        field("stale_served", self.stale_served.to_string());
-        field("breaker_opens", self.breaker_opens.to_string());
-        field("breaker_closes", self.breaker_closes.to_string());
-        field("requests", self.requests.to_string());
-        field("schedule_p50_ms", json_num(self.schedule_p50_ms));
-        field("schedule_p95_ms", json_num(self.schedule_p95_ms));
-        field("schedule_p99_ms", json_num(self.schedule_p99_ms));
-        field("schedule_mean_ms", json_num(self.schedule_mean_ms));
-        field("kernel_runs", self.kernel_runs.to_string());
-        field("kernel_p50_ms", json_num(self.kernel_p50_ms));
-        field("kernel_p99_ms", json_num(self.kernel_p99_ms));
-        let extras: Vec<String> = self
+        let extra = self
             .extra
             .iter()
-            .map(|(k, v)| format!("{}: {v}", heteromap_obs::json::escape(k)))
-            .collect();
-        s.push_str(&format!("  \"extra\": {{{}}}\n", extras.join(", ")));
-        s.push('}');
-        s
+            .fold(Object::new(), |o, (k, v)| o.field(k, *v));
+        Object::new()
+            .field("cache_hits", self.cache_hits)
+            .field("cache_misses", self.cache_misses)
+            .field("cache_hit_rate", self.cache_hit_rate)
+            .field("cache_evictions", self.cache_evictions)
+            .field("cache_invalidations", self.cache_invalidations)
+            .field("gpu_placements", self.gpu_placements)
+            .field("multicore_placements", self.multicore_placements)
+            .field("failed_placements", self.failed_placements)
+            .field("stream_chunks", self.stream_chunks)
+            .field("stream_restreams", self.stream_restreams)
+            .field("admitted", self.admitted)
+            .field("rejected_overload", self.rejected_overload)
+            .field("rejected_unhealthy", self.rejected_unhealthy)
+            .field("deadline_misses", self.deadline_misses)
+            .field("stale_served", self.stale_served)
+            .field("breaker_opens", self.breaker_opens)
+            .field("breaker_closes", self.breaker_closes)
+            .field("requests", self.requests)
+            .field("schedule_p50_ms", self.schedule_p50_ms)
+            .field("schedule_p95_ms", self.schedule_p95_ms)
+            .field("schedule_p99_ms", self.schedule_p99_ms)
+            .field("schedule_mean_ms", self.schedule_mean_ms)
+            .field("kernel_runs", self.kernel_runs)
+            .field("kernel_p50_ms", self.kernel_p50_ms)
+            .field("kernel_p99_ms", self.kernel_p99_ms)
+            .field("extra", extra)
+            .to_document()
     }
 }
 
@@ -421,17 +404,17 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_well_formed() {
+        use heteromap_obs::json::{parse, Value};
         let m = MetricsRegistry::new();
         m.cache_hits.inc();
         m.schedule_latency.record(0.5);
         m.counter("custom").add(7);
-        let json = m.snapshot().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"cache_hits\": 1"));
-        assert!(json.contains("\"custom\": 7"));
-        // NaN quantities must render as null, not NaN.
-        assert!(!json.contains("NaN"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = parse(&m.snapshot().to_json()).expect("snapshot parses");
+        assert_eq!(doc.get("cache_hits").and_then(Value::as_f64), Some(1.0));
+        let extra = doc.get("extra").expect("extra object");
+        assert_eq!(extra.get("custom").and_then(Value::as_f64), Some(7.0));
+        // NaN quantities (no kernel runs yet) must render as null.
+        assert_eq!(doc.get("kernel_p50_ms"), Some(&Value::Null));
     }
 
     #[test]

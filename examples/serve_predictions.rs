@@ -76,7 +76,7 @@ fn main() {
     );
 
     println!("5. metrics snapshot:");
-    println!("{}", engine.metrics().snapshot().to_json());
+    print!("{}", engine.metrics().snapshot().to_json());
 
     if heteromap_obs::enabled() {
         let trace_path = heteromap_obs::trace_file_path();

@@ -52,7 +52,8 @@ fn sweep_instrumented(hm: &HeteroMap, combos: &[(Workload, GraphStats)], inner: 
 }
 
 /// The span-free twin of [`sweep_instrumented`]: identical work (including
-/// the timed predict step) assembled from the uninstrumented components.
+/// the modeled overhead charge) assembled from the uninstrumented
+/// components.
 fn sweep_baseline(hm: &HeteroMap, combos: &[(Workload, GraphStats)], inner: usize) -> f64 {
     let start = Instant::now();
     let mut sum = 0.0;
@@ -60,9 +61,8 @@ fn sweep_baseline(hm: &HeteroMap, combos: &[(Workload, GraphStats)], inner: usiz
         for &(w, stats) in combos {
             let ctx = WorkloadContext::for_workload(w, stats);
             let i = hm.ivector(&ctx.stats);
-            let predict_start = Instant::now();
             let (config, fallbacks) = hm.predict_config(&ctx.b, &i);
-            let overhead_ms = predict_start.elapsed().as_secs_f64() * 1e3;
+            let overhead_ms = hm.predictor().overhead_ms();
             sum += hm
                 .deploy_predicted(&ctx, config, overhead_ms, fallbacks)
                 .report

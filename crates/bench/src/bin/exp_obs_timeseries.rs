@@ -74,9 +74,8 @@ fn sweep_baseline(hm: &HeteroMap, combos: &[(Workload, GraphStats)], inner: usiz
         for &(w, stats) in combos {
             let ctx = WorkloadContext::for_workload(w, stats);
             let i = hm.ivector(&ctx.stats);
-            let predict_start = Instant::now();
             let (config, predictor_fallbacks) = hm.predict_config(&ctx.b, &i);
-            let overhead_ms = predict_start.elapsed().as_secs_f64() * 1e3;
+            let overhead_ms = hm.predictor().overhead_ms();
             assert!(hm.system().faults().is_all_healthy());
             let mut report = hm.system().deploy(&ctx, &config);
             report.time_ms += overhead_ms;

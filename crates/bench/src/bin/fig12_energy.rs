@@ -10,7 +10,7 @@ use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_bench::harness::SchedulerComparison;
 use heteromap_bench::{geomean, TextTable};
 use heteromap_model::Workload;
-use heteromap_predict::Objective;
+use heteromap_predict::{Evaluator, Objective};
 
 fn main() {
     let args = heteromap_bench::apply_obs_flags(std::env::args().skip(1));
@@ -20,7 +20,7 @@ fn main() {
         format!("training energy-objective Deep.128 on {samples} combinations...")
     });
     let hm = HeteroMap::train_deep_for(system.clone(), samples, 42, Objective::Energy);
-    let cmp = SchedulerComparison::run_with(&system, Objective::Energy, &hm);
+    let cmp = SchedulerComparison::run_with(&Evaluator::new(system, Objective::Energy), &hm);
 
     // Normalize to the maximal energy of any B-I combination (paper).
     let max_energy = cmp

@@ -8,7 +8,7 @@ use heteromap_accel::{AcceleratorSpec, MultiAcceleratorSystem};
 use heteromap_bench::harness::SchedulerComparison;
 use heteromap_bench::TextTable;
 use heteromap_model::{Accelerator, Workload};
-use heteromap_predict::Objective;
+use heteromap_predict::{Evaluator, Objective};
 
 fn main() {
     let args = heteromap_bench::apply_obs_flags(std::env::args().skip(1));
@@ -24,29 +24,26 @@ fn main() {
 
     println!("Fig. 14: completion time normalized to the GTX-970 GPU run");
     println!("(columns: Phi-only / HeteroMap / ideal; higher is worse)\n");
-    let mut flips = 0;
-    let weak = SchedulerComparison::run(
-        &MultiAcceleratorSystem::primary(),
-        Objective::Performance,
-        samples,
-        42,
-    );
+    // The GTX-750Ti setup's tuned baselines; both lists are workload-major.
+    let weak = Evaluator::new(MultiAcceleratorSystem::primary(), Objective::Performance);
+    let winner = |gpu_only: f64, multicore_only: f64| {
+        if gpu_only <= multicore_only {
+            Accelerator::Gpu
+        } else {
+            Accelerator::Multicore
+        }
+    };
+    let flips = cmp
+        .rows
+        .iter()
+        .zip(weak.references())
+        .filter(|(r, rw)| {
+            winner(r.gpu_only, r.multicore_only) != winner(rw.best_gpu, rw.best_multicore)
+        })
+        .count();
     for w in Workload::all() {
         let mut t = TextTable::new(["input", "XeonPhi", "HeteroMap", "ideal", "selected"]);
-        for (r, rw) in cmp.rows_for(w).iter().zip(weak.rows_for(w)) {
-            let winner_strong = if r.gpu_only <= r.multicore_only {
-                Accelerator::Gpu
-            } else {
-                Accelerator::Multicore
-            };
-            let winner_weak = if rw.gpu_only <= rw.multicore_only {
-                Accelerator::Gpu
-            } else {
-                Accelerator::Multicore
-            };
-            if winner_strong != winner_weak {
-                flips += 1;
-            }
+        for r in cmp.rows_for(w) {
             t.row([
                 r.dataset.abbrev().to_string(),
                 format!("{:.2}", r.multicore_only / r.gpu_only),

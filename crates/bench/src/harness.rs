@@ -1,16 +1,14 @@
 //! Shared experiment harness for the scheduler-comparison figures
-//! (Figs. 11–15): per-combination tuned baselines, the trained HeteroMap
-//! predictor, and the ideal.
+//! (Figs. 11–15): the trained HeteroMap predictor against the tuned
+//! baselines and the ideal of an [`Evaluator`]'s per-combination
+//! references.
 
-use crate::{all_combos, geomean};
+use crate::geomean;
 use heteromap::HeteroMap;
-use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::system::MultiAcceleratorSystem;
 use heteromap_graph::datasets::Dataset;
-use heteromap_model::mspace::MSpace;
-use heteromap_model::{Accelerator, MConfig, Workload};
-use heteromap_predict::Objective;
-use heteromap_tune::CoarseRefine;
+use heteromap_model::{Accelerator, Workload};
+use heteromap_predict::{Evaluator, Objective};
 
 /// Per-combination results of one scheduler comparison.
 #[derive(Debug, Clone)]
@@ -31,7 +29,8 @@ pub struct ComboRow {
     pub selected: Accelerator,
     /// Utilization HeteroMap achieved.
     pub utilization: f64,
-    /// Best single-accelerator utilizations `(gpu, multicore)`.
+    /// Utilizations `(gpu, multicore)` at the tuned single-accelerator
+    /// configurations.
     pub utilization_baselines: (f64, f64),
 }
 
@@ -52,50 +51,33 @@ impl SchedulerComparison {
         seed: u64,
     ) -> Self {
         let hm = HeteroMap::train_deep_for(system.clone(), train_samples, seed, objective);
-        Self::run_with(system, objective, &hm)
+        Self::run_with(&Evaluator::new(system.clone(), objective), &hm)
     }
 
-    /// Runs the comparison with an already-built HeteroMap instance.
-    pub fn run_with(system: &MultiAcceleratorSystem, objective: Objective, hm: &HeteroMap) -> Self {
-        let space = MSpace::new();
-        let gpu_cfgs = space.enumerate_for(Accelerator::Gpu);
-        let mc_cfgs = space.enumerate_for(Accelerator::Multicore);
-        let cost = |ctx: &WorkloadContext, cfg: &MConfig| -> (f64, f64) {
-            let r = system.deploy(ctx, cfg);
-            let c = match objective {
-                Objective::Performance => r.time_ms,
-                Objective::Energy => r.energy_j,
-            };
-            (c, r.utilization)
-        };
-        let rows = all_combos()
-            .into_iter()
-            .map(|(workload, dataset)| {
-                let ctx = WorkloadContext::for_workload(workload, dataset.stats());
-                let best_over = |cfgs: &[MConfig]| -> (f64, f64) {
-                    cfgs.iter()
-                        .map(|c| cost(&ctx, c))
-                        .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite costs"))
-                        .expect("non-empty config list")
-                };
-                let (gpu_only, gpu_util) = best_over(&gpu_cfgs);
-                let (multicore_only, mc_util) = best_over(&mc_cfgs);
-                let ideal = CoarseRefine::EXHAUSTIVE.tune(|c| cost(&ctx, c).0).cost;
-                let placement = hm.schedule(workload, dataset);
-                let heteromap = match objective {
-                    Objective::Performance => placement.report.time_ms,
-                    Objective::Energy => placement.report.energy_j,
-                };
+    /// Runs the comparison with an already-built HeteroMap instance over
+    /// `evaluator`'s combinations, reading the tuned baselines and the
+    /// ideal from its references: only HeteroMap's column is computed here.
+    pub fn run_with(evaluator: &Evaluator, hm: &HeteroMap) -> Self {
+        let system = evaluator.system();
+        let rows = evaluator
+            .references()
+            .iter()
+            .map(|r| {
+                let placement = hm.schedule_context(&r.ctx);
+                let utilization = |cfg| system.deploy(&r.ctx, cfg).utilization;
                 ComboRow {
-                    workload,
-                    dataset,
-                    gpu_only,
-                    multicore_only,
-                    heteromap,
-                    ideal,
+                    workload: r.workload,
+                    dataset: r.dataset,
+                    gpu_only: r.best_gpu,
+                    multicore_only: r.best_multicore,
+                    heteromap: evaluator.objective().cost(&placement.report),
+                    ideal: r.ideal_cost,
                     selected: placement.accelerator(),
                     utilization: placement.report.utilization,
-                    utilization_baselines: (gpu_util, mc_util),
+                    utilization_baselines: (
+                        utilization(&r.best_gpu_config),
+                        utilization(&r.best_multicore_config),
+                    ),
                 }
             })
             .collect();
@@ -140,7 +122,8 @@ mod tests {
         // Decision tree avoids training cost in tests.
         let system = MultiAcceleratorSystem::primary();
         let hm = HeteroMap::new(system.clone(), Box::new(DecisionTree::paper()));
-        let cmp = SchedulerComparison::run_with(&system, Objective::Performance, &hm);
+        let cmp =
+            SchedulerComparison::run_with(&Evaluator::new(system, Objective::Performance), &hm);
         assert_eq!(cmp.rows.len(), 81);
         for r in &cmp.rows {
             assert!(r.ideal <= r.gpu_only + 1e-9);

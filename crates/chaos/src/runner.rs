@@ -5,10 +5,10 @@
 //! round start, slots are evaluated in parallel as pure functions of the
 //! snapshot, and the breaker board, tallies and digest evolve in one serial
 //! fold in slot order. This module adds simulated time: placements charge
-//! simulated milliseconds, and the chaos engine zeroes every
-//! real-time-adjacent overhead knob (`flop_ns`, `hit_overhead_ms`), so a
-//! request's outcome is identical whether it hit or missed the cache, and
-//! races on the cache cannot leak into results.
+//! simulated milliseconds. The engine serves the decision tree, whose
+//! modeled inference cost is zero, so a cache miss charges the same as a
+//! hit: a request's outcome is identical whether it hit or missed the
+//! cache, and races on the cache cannot leak into results.
 //!
 //! The digest chains every `(round, slot, outcome, accelerator, time,
 //! config)`, so two runs agree on the digest iff they agreed on every
@@ -16,7 +16,7 @@
 
 use crate::plan::{ChaosEvent, ChaosPlan, DATASETS, WORKLOADS};
 use heteromap::rounds::{self, Ledger, Resolution, RoundPolicy};
-use heteromap::{AttemptOutcome, BreakerBoard, BreakerConfig, DeployOptions, HeteroMap};
+use heteromap::{BreakerBoard, BreakerConfig, DeployOptions, HeteroMap};
 use heteromap_accel::cost::WorkloadContext;
 use heteromap_model::Accelerator;
 use heteromap_obs::metrics::{
@@ -167,14 +167,10 @@ impl ChaosRunner {
 
     /// A runner with explicit breaker tuning.
     pub fn with_breaker(plan: ChaosPlan, resilient: bool, breaker: BreakerConfig) -> Self {
-        // Zero overhead knobs: cache hit/miss races must not shift times.
-        let config = ServeConfig {
-            mode: ServeMode::Cached,
-            flop_ns: 0.0,
-            hit_overhead_ms: 0.0,
-            ..ServeConfig::default()
-        };
-        let engine = ServeEngine::new(HeteroMap::with_decision_tree(), config);
+        let engine = ServeEngine::new(
+            HeteroMap::with_decision_tree(),
+            ServeConfig::with_mode(ServeMode::Cached),
+        );
         let mut reference_ms = [[0.0; DATASETS.len()]; WORKLOADS.len()];
         for (wi, workload) in WORKLOADS.iter().enumerate() {
             for (di, dataset) in DATASETS.iter().enumerate() {
@@ -447,26 +443,13 @@ where
         let (deadline, served) = outcome;
         let placement = &served.placement;
         let time_ms = placement.report.time_ms;
-        let within = time_ms <= deadline;
         if self.runner.resilient {
             if let Some(accelerator) = self.avoid {
                 self.board.on_routed_around(accelerator);
             }
             self.board.on_placement(placement, deadline);
         }
-        let resolution = if placement.completed() && within {
-            Resolution::Good
-        } else if !within
-            || placement
-                .attempts
-                .records
-                .iter()
-                .any(|r| matches!(r.outcome, AttemptOutcome::DeadlineExceeded { .. }))
-        {
-            Resolution::Late
-        } else {
-            Resolution::Failed
-        };
+        let resolution = Resolution::of(placement, deadline);
         let attempts = placement.attempts.total_attempts();
         if attempts > 1 {
             self.stats.multi_attempt += 1;
@@ -497,6 +480,8 @@ where
 mod tests {
     use super::*;
     use crate::plan::ChaosPlan;
+    use heteromap_accel::FaultPlan;
+    use heteromap_serve::ServeSource;
 
     #[test]
     fn fault_free_run_is_all_good() {
@@ -523,6 +508,22 @@ mod tests {
             );
             assert!(single.fully_accounted());
         }
+    }
+
+    #[test]
+    fn cache_hits_and_misses_charge_the_same() {
+        // The decision tree's modeled inference cost is zero, so whether a
+        // racing worker finds a request cached cannot move its time.
+        let runner = ChaosRunner::new(ChaosPlan::smoke(5, 0.0), true);
+        let engine = runner.engine();
+        assert_eq!(engine.miss_overhead_ms(), 0.0);
+        let ctx = WorkloadContext::for_workload(WORKLOADS[0], DATASETS[0].stats());
+        engine.set_fault_plan(FaultPlan::healthy());
+        let miss = engine.schedule_context(&ctx);
+        let hit = engine.schedule_context(&ctx);
+        assert_eq!(miss.source, ServeSource::Computed);
+        assert_eq!(hit.source, ServeSource::CacheHit);
+        assert_eq!(miss.placement, hit.placement);
     }
 
     #[test]

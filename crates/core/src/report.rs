@@ -11,10 +11,11 @@ pub struct Placement {
     /// The predicted machine choices (`M1..M20`).
     pub config: MConfig,
     /// Simulated completion time / energy / utilization of the deployment,
-    /// including the predictor's measured overhead.
+    /// including the predictor's modeled overhead.
     pub report: SimReport,
-    /// Predictor inference latency in milliseconds (already included in
-    /// `report.time_ms`, as in §V-A).
+    /// Charged predictor overhead in milliseconds
+    /// ([`heteromap_predict::Predictor::overhead_ms`], or 0 for a cached
+    /// prediction; already included in `report.time_ms`, as in §V-A).
     pub predictor_overhead_ms: f64,
     /// Audit trail of the deploy attempts behind this placement (a single
     /// clean success on a healthy system; retries, failovers and degraded

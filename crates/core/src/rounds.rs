@@ -17,6 +17,8 @@
 //! The ledger's counts, completion times and chained digest are therefore
 //! bit-identical at any thread count.
 
+use crate::report::Placement;
+use crate::resilient::AttemptOutcome;
 use heteromap_kernels::par::par_map;
 use heteromap_model::fold_digest;
 
@@ -37,6 +39,27 @@ impl Resolution {
     /// The digest tag: 1 to 4 in declaration order.
     pub fn tag(self) -> u64 {
         self as u64 + 1
+    }
+
+    /// The deadline rule for a deployed placement: `Good` if it completed
+    /// within `deadline_ms`; `Late` if it ran past the deadline or an
+    /// attempt was cut short by it
+    /// ([`AttemptOutcome::DeadlineExceeded`]); `Failed` otherwise.
+    pub fn of(placement: &Placement, deadline_ms: f64) -> Resolution {
+        let within = placement.report.time_ms <= deadline_ms;
+        if placement.completed() && within {
+            Resolution::Good
+        } else if !within
+            || placement
+                .attempts
+                .records
+                .iter()
+                .any(|r| matches!(r.outcome, AttemptOutcome::DeadlineExceeded { .. }))
+        {
+            Resolution::Late
+        } else {
+            Resolution::Failed
+        }
     }
 }
 

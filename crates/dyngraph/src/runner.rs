@@ -19,8 +19,9 @@
 //! When the fresh prediction names a different configuration the run
 //! *live-migrates*: the new configuration is re-clamped for the target's
 //! surviving silicon (`clamp_config_for`) and the switch is charged with
-//! the §V-A overhead model — predictor inference FLOPs at `flop_ns` plus
-//! the graph-footprint transfer at `migration_gb_per_s` — so adaptivity
+//! the §V-A overhead model — the predictor's modeled inference cost
+//! (`Predictor::overhead_ms`) plus the graph-footprint transfer at
+//! `migration_gb_per_s` — so adaptivity
 //! pays its true cost in the makespan it reports.
 //!
 //! Determinism: every signal fed to the detectors is a pure function of
@@ -58,8 +59,6 @@ pub struct DynRunnerConfig {
     pub adaptive: bool,
     /// Minimum quantized I-component movement that forces re-prediction.
     pub ivar_threshold: f64,
-    /// Predictor cost per FLOP in nanoseconds (§V-A overhead model).
-    pub flop_ns: f64,
     /// Simulated state-transfer bandwidth charged on live migration.
     pub migration_gb_per_s: f64,
     /// Detector tuning for the frontier-density series (degradation-is-up).
@@ -78,7 +77,6 @@ impl Default for DynRunnerConfig {
             kernel_iterations: 2,
             adaptive: true,
             ivar_threshold: 0.1,
-            flop_ns: 1.0,
             migration_gb_per_s: 4.0,
             frontier_drift: DriftConfig::upward(),
             utilization_drift: DriftConfig::downward(),
@@ -179,11 +177,6 @@ impl<'a> DynRunner<'a> {
         &self.config
     }
 
-    /// §V-A predictor overhead for one inference, in milliseconds.
-    fn prediction_overhead_ms(&self) -> f64 {
-        self.hm.predictor().inference_flops() as f64 * self.config.flop_ns * 1e-6
-    }
-
     /// Simulated cost of moving the working set to another accelerator.
     fn migration_overhead_ms(&self, stats: &GraphStats) -> f64 {
         stats.footprint_bytes() as f64 / (self.config.migration_gb_per_s * 1e9) * 1e3
@@ -208,7 +201,7 @@ impl<'a> DynRunner<'a> {
         let mut raises_seen = 0u64;
 
         // Epoch-0 prediction on the initial graph (both modes pay this).
-        let predict_ms = self.prediction_overhead_ms();
+        let predict_ms = self.hm.predictor().overhead_ms();
         let ivec = self.hm.ivector(&graph.stats());
         let (predicted, mut fallbacks) = self.hm.predict_config(&b, &ivec);
         let mut config = self.clamp_for_target(&predicted);

@@ -42,6 +42,6 @@ pub use decision_tree::DecisionTree;
 pub use eval::{Evaluator, LearnerReport};
 pub use nn::{NeuralPredictor, TrainConfig};
 pub use persist::PersistedModel;
-pub use predictor::{DatabaseSummary, Objective, Predictor, TrainingSample, TrainingSet};
+pub use predictor::{DatabaseSummary, Objective, Predictor, TrainingSample, TrainingSet, FLOP_NS};
 pub use regression::RegressionPredictor;
 pub use trainer::Trainer;

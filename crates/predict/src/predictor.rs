@@ -1,6 +1,7 @@
 //! The predictor interface and the training database ("profiler database"
 //! of §V: `B, I, M` tuples indexed by `B, I`).
 
+use heteromap_accel::SimReport;
 use heteromap_graph::GraphStats;
 use heteromap_model::workload::IterationModel;
 use heteromap_model::{BVector, IVector, MConfig, BI_DIM};
@@ -16,6 +17,20 @@ pub enum Objective {
     Energy,
 }
 
+impl Objective {
+    /// The objective's value for one simulated run: ms or J.
+    pub fn cost(self, report: &SimReport) -> f64 {
+        match self {
+            Objective::Performance => report.time_ms,
+            Objective::Energy => report.energy_j,
+        }
+    }
+}
+
+/// Simulated cost of one predictor FLOP in nanoseconds: the only constant
+/// of the §V-A overhead model ([`Predictor::overhead_ms`]).
+pub const FLOP_NS: f64 = 1.0;
+
 /// A predictor maps discretized benchmark + input variables to machine
 /// choices (`(B, I) -> M`), the `X(M) = Min_Perf(B, I)` of §III-A.
 pub trait Predictor {
@@ -26,11 +41,18 @@ pub trait Predictor {
     fn predict(&self, b: &BVector, i: &IVector) -> MConfig;
 
     /// Deterministic cost of one inference in multiply-accumulates
-    /// (0 for closed-form predictors like the decision tree). The serving
-    /// layer converts this into the charged predictor overhead of §V-A,
-    /// replacing non-deterministic wall-clock measurement.
+    /// (0 for closed-form predictors like the decision tree).
     fn inference_flops(&self) -> usize {
         0
+    }
+
+    /// The predictor overhead of §V-A in milliseconds,
+    /// `inference_flops × FLOP_NS`: what every scheduling path charges into
+    /// a combination's completion time for one inference. A model rather
+    /// than a stopwatch, so every charged time is a pure function of the
+    /// predictor.
+    fn overhead_ms(&self) -> f64 {
+        self.inference_flops() as f64 * FLOP_NS * 1e-6
     }
 }
 

@@ -95,11 +95,7 @@ impl Trainer {
 
     /// Cost of deploying `ctx` with `cfg` under the configured objective.
     pub fn cost(&self, ctx: &WorkloadContext, cfg: &MConfig) -> f64 {
-        let report = self.system.deploy(ctx, cfg);
-        match self.objective {
-            Objective::Performance => report.time_ms,
-            Objective::Energy => report.energy_j,
-        }
+        self.objective.cost(&self.system.deploy(ctx, cfg))
     }
 
     /// Tunes one sample; returns the optimum, its cost, and the oracle

@@ -31,7 +31,8 @@
 
 use crate::engine::{ServeEngine, ServeSource, Served};
 use crate::metrics::MetricsRegistry;
-use heteromap::{AttemptOutcome, BreakerBoard, BreakerConfig, BreakerState, DeployOptions};
+use heteromap::rounds::Resolution;
+use heteromap::{BreakerBoard, BreakerConfig, BreakerState, DeployOptions};
 use heteromap_accel::cost::WorkloadContext;
 use heteromap_graph::GraphStats;
 use heteromap_kernels::par::par_map;
@@ -284,25 +285,17 @@ impl AdmissionController {
         deadline_ms: f64,
         metrics: &MetricsRegistry,
     ) -> Result<Served, Rejected> {
-        let time_ms = served.placement.report.time_ms;
-        let within = time_ms <= deadline_ms;
-        let completed = served.placement.completed();
         {
             let mut sync = self.breakers.lock().expect("breaker board poisoned");
             sync.board.on_placement(&served.placement, deadline_ms);
             flush_breaker_metrics(&mut sync, metrics);
         }
-        if completed && within {
+        let resolution = Resolution::of(&served.placement, deadline_ms);
+        if resolution == Resolution::Good {
             return Ok(served);
         }
-        let deadline_related = !within
-            || served
-                .placement
-                .attempts
-                .records
-                .iter()
-                .any(|r| matches!(r.outcome, AttemptOutcome::DeadlineExceeded { .. }));
-        if deadline_related && deadline_ms.is_finite() {
+        let time_ms = served.placement.report.time_ms;
+        if resolution == Resolution::Late && deadline_ms.is_finite() {
             metrics.deadline_misses.inc();
             heteromap_obs::event("deadline.miss", || {
                 format!("needed_ms={time_ms} deadline_ms={deadline_ms}")

@@ -5,12 +5,11 @@
 //! `(B, I)` queries without re-running the neural forward pass:
 //!
 //! * **cache hit** — the stored [`MConfig`] is re-deployed through the
-//!   analytic cost model (deterministic, sub-microsecond) and charged
-//!   [`ServeConfig::hit_overhead_ms`] of predictor overhead;
+//!   analytic cost model (deterministic, sub-microsecond) and charged no
+//!   predictor overhead, since no inference ran;
 //! * **cache miss** — the predictor runs inline on the calling thread and
-//!   the completion time is charged the full inference cost,
-//!   `inference_flops × flop_ns` (§V-A's overhead accounting made
-//!   deterministic — no wall clock in the placement).
+//!   the completion time is charged the modeled inference cost,
+//!   [`Predictor::overhead_ms`] (§V-A; no wall clock in the placement).
 //!
 //! Because the cache stores the *prediction* and deploy re-runs per request,
 //! every mode returns the same placement for the same (workload, statistics,
@@ -18,6 +17,7 @@
 //! overhead they charge.
 //!
 //! [`MConfig`]: heteromap_model::MConfig
+//! [`Predictor::overhead_ms`]: heteromap_predict::Predictor::overhead_ms
 
 use crate::cache::{CachedPrediction, InsertOutcome, PredKey, ShardedCache};
 use crate::metrics::MetricsRegistry;
@@ -53,13 +53,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Total cached predictions across shards.
     pub capacity: usize,
-    /// Simulated cost of one predictor FLOP in nanoseconds; a miss charges
-    /// `inference_flops × flop_ns` into the placement's completion time.
-    pub flop_ns: f64,
-    /// Predictor overhead charged on a cache hit (milliseconds). The paper
-    /// charges inference latency into completion time (§V-A); a hit skips
-    /// inference, so this defaults to zero.
-    pub hit_overhead_ms: f64,
 }
 
 impl Default for ServeConfig {
@@ -68,8 +61,6 @@ impl Default for ServeConfig {
             mode: ServeMode::default(),
             shards: 16,
             capacity: 65_536,
-            flop_ns: 1.0,
-            hit_overhead_ms: 0.0,
         }
     }
 }
@@ -170,11 +161,11 @@ impl ServeEngine {
         self.cache.len()
     }
 
-    /// The deterministic predictor overhead charged on a miss:
-    /// `inference_flops × flop_ns`, in milliseconds.
+    /// The deterministic predictor overhead charged on a miss,
+    /// [`Predictor::overhead_ms`], in milliseconds.
     pub fn miss_overhead_ms(&self) -> f64 {
         let model = self.model.read().expect("model lock poisoned");
-        model.predictor().inference_flops() as f64 * self.config.flop_ns * 1e-6
+        model.predictor().overhead_ms()
     }
 
     /// Serves a named paper workload on a Table I dataset.
@@ -203,7 +194,7 @@ impl ServeEngine {
         let model = self.model.read().expect("model lock poisoned");
         let i = model.ivector(&ctx.stats);
         let key = PredKey::new(&ctx.b, &i);
-        let miss_ms = model.predictor().inference_flops() as f64 * self.config.flop_ns * 1e-6;
+        let miss_ms = model.predictor().overhead_ms();
         let predict = || {
             let (config, fallbacks) = model.predict_config(&ctx.b, &i);
             CachedPrediction { config, fallbacks }
@@ -214,7 +205,7 @@ impl ServeEngine {
             ServeMode::Cached => match self.cache.get(&key) {
                 Some(pred) => {
                     self.metrics.cache_hits.inc();
-                    (pred, ServeSource::CacheHit, self.config.hit_overhead_ms)
+                    (pred, ServeSource::CacheHit, 0.0)
                 }
                 None => {
                     self.metrics.cache_misses.inc();
@@ -241,8 +232,8 @@ impl ServeEngine {
     }
 
     /// Deploys an already-cached prediction under [`DeployOptions`],
-    /// charging only [`ServeConfig::hit_overhead_ms`] — the shedding path
-    /// of the admission controller ([`ServeSource::StaleHit`]).
+    /// charging no predictor overhead — the shedding path of the admission
+    /// controller ([`ServeSource::StaleHit`]).
     pub fn serve_stale(&self, ctx: &WorkloadContext, opts: DeployOptions) -> Option<Served> {
         let start = Instant::now();
         let model = self.model.read().expect("model lock poisoned");
@@ -253,7 +244,7 @@ impl ServeEngine {
             ctx,
             prediction,
             ServeSource::StaleHit,
-            self.config.hit_overhead_ms,
+            0.0,
             opts,
             start,
         ))

@@ -11,8 +11,8 @@
 //!   the fault plan or predictor changes;
 //! * [`engine`] — [`ServeEngine`], which runs the predictor inline on a
 //!   miss and charges deterministic predictor overhead into each placement
-//!   (§V-A): a miss pays `inference_flops × flop_ns`, a hit pays
-//!   [`ServeConfig::hit_overhead_ms`] (zero by default);
+//!   (§V-A): a miss pays the predictor's modeled
+//!   `Predictor::overhead_ms`, a hit pays nothing;
 //! * [`metrics`] — an atomic [`MetricsRegistry`] (cache hit/miss counters,
 //!   latency histograms with p50/p95/p99, per-accelerator placement counts)
 //!   registered on a private `MetricsHub`, snapshotable as JSON and as

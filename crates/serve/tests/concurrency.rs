@@ -3,7 +3,7 @@
 //! The load-bearing property: serving is an *optimization*, never a
 //! different answer. Cached and uncached serving must return
 //! bit-identical placements for the same (workload, statistics, fault plan)
-//! at any thread count, while hits charge (near-)zero predictor overhead
+//! at any thread count, while hits charge zero predictor overhead
 //! and misses charge the full inference cost.
 
 // These tests race free-running OS threads (an invalidator spinning against
@@ -128,19 +128,15 @@ fn all_modes_agree_across_thread_counts() {
 }
 
 #[test]
-fn zero_overhead_config_makes_placements_fully_bit_identical() {
-    // With flop_ns = 0 every path charges zero overhead, so entire
-    // placements — including time_ms — compare equal across modes.
+fn zero_flop_predictor_makes_placements_fully_bit_identical() {
+    // The decision tree's inference costs zero FLOPs, so every path charges
+    // zero overhead and entire placements — including time_ms — compare
+    // equal across modes.
     let requests = mixed_requests(2, 0);
-    let config = ServeConfig {
-        flop_ns: 0.0,
-        hit_overhead_ms: 0.0,
-        ..ServeConfig::default()
-    };
     let make = |mode| {
         ServeEngine::new(
-            HeteroMap::with_trained_deep(40, 9),
-            ServeConfig { mode, ..config },
+            HeteroMap::with_decision_tree(),
+            ServeConfig::with_mode(mode),
         )
     };
     let baseline = make(ServeMode::Uncached).serve_all(&requests, 1);
@@ -164,14 +160,14 @@ fn hits_charge_near_zero_overhead_and_misses_charge_full_inference_cost() {
     assert_eq!(
         miss.placement.predictor_overhead_ms.to_bits(),
         expected_miss_ms.to_bits(),
-        "miss charges inference_flops x flop_ns deterministically"
+        "miss charges the modeled inference cost deterministically"
     );
 
     let hit = engine.schedule(Workload::PageRank, Dataset::LiveJournal);
     assert_eq!(hit.source, ServeSource::CacheHit);
     assert_eq!(
         hit.placement.predictor_overhead_ms, 0.0,
-        "default hit overhead is zero"
+        "a hit charges no overhead"
     );
     assert!(
         hit.placement.report.time_ms < miss.placement.report.time_ms,
@@ -184,18 +180,6 @@ fn hits_charge_near_zero_overhead_and_misses_charge_full_inference_cost() {
         hit.placement.report.time_ms.to_bits(),
         "hit and miss differ by exactly the charged overhead"
     );
-
-    // A configured hit overhead is charged verbatim.
-    let priced = ServeEngine::new(
-        deep_model(),
-        ServeConfig {
-            hit_overhead_ms: 0.25,
-            ..ServeConfig::default()
-        },
-    );
-    priced.schedule(Workload::PageRank, Dataset::LiveJournal);
-    let priced_hit = priced.schedule(Workload::PageRank, Dataset::LiveJournal);
-    assert_eq!(priced_hit.placement.predictor_overhead_ms, 0.25);
 }
 
 #[test]

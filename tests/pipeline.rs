@@ -3,11 +3,16 @@
 
 use heteromap::HeteroMap;
 use heteromap_accel::system::MultiAcceleratorSystem;
+use heteromap_bench::harness::SchedulerComparison;
 use heteromap_graph::datasets::Dataset;
 use heteromap_model::{fold_digest, Accelerator, Workload};
 use heteromap_predict::nn::TrainConfig;
 use heteromap_predict::persist::{write_database, write_model};
-use heteromap_predict::{NeuralPredictor, Objective, PersistedModel, Trainer};
+use heteromap_predict::{
+    AdaptiveLibrary, DecisionTree, Evaluator, LearnerReport, NeuralPredictor, Objective,
+    PersistedModel, Predictor, RegressionPredictor, Trainer, TrainingSet,
+};
+use std::sync::OnceLock;
 
 #[test]
 fn offline_training_to_online_evaluation() {
@@ -197,34 +202,48 @@ fn bytes_digest(bytes: &[u8]) -> u64 {
     fold_digest(0, &parts)
 }
 
+/// The serving benchmark's database (64 autotuned samples) and the Deep.16
+/// model trained on it, built once per test binary.
+fn pinned_database_and_deep16() -> &'static (TrainingSet, NeuralPredictor) {
+    static BUILT: OnceLock<(TrainingSet, NeuralPredictor)> = OnceLock::new();
+    BUILT.get_or_init(|| {
+        let trainer = Trainer::new(MultiAcceleratorSystem::primary());
+        let db = trainer.generate_database(64, 0x4D0D_E128);
+        let nn = NeuralPredictor::train(
+            &db,
+            TrainConfig {
+                hidden: 16,
+                epochs: 250,
+                seed: 0x4D0D_E128,
+                ..TrainConfig::default()
+            },
+        );
+        (db, nn)
+    })
+}
+
 #[test]
 fn training_database_and_deep16_model_are_pinned() {
     // The serving benchmark's database: every tuned optimum, and through
     // them every trained weight, must stay bit-identical.
-    let trainer = Trainer::new(MultiAcceleratorSystem::primary());
-    let db = trainer.generate_database(64, 0x4D0D_E128);
+    let (db, nn) = pinned_database_and_deep16();
     let mut db_bytes = Vec::new();
-    write_database(&db, &mut db_bytes).unwrap();
+    write_database(db, &mut db_bytes).unwrap();
     let mut parallel_bytes = Vec::new();
     write_database(
-        &trainer.generate_database_parallel(64, 0x4D0D_E128, 4),
+        &Trainer::new(MultiAcceleratorSystem::primary()).generate_database_parallel(
+            64,
+            0x4D0D_E128,
+            4,
+        ),
         &mut parallel_bytes,
     )
     .unwrap();
     assert!(parallel_bytes == db_bytes, "4-thread database diverged");
     let db_digest = bytes_digest(&db_bytes);
 
-    let nn = NeuralPredictor::train(
-        &db,
-        TrainConfig {
-            hidden: 16,
-            epochs: 250,
-            seed: 0x4D0D_E128,
-            ..TrainConfig::default()
-        },
-    );
     let mut model_bytes = Vec::new();
-    write_model(&PersistedModel::Nn(nn), &mut model_bytes).unwrap();
+    write_model(&PersistedModel::Nn(nn.clone()), &mut model_bytes).unwrap();
     let model_digest = bytes_digest(&model_bytes);
     assert_eq!(
         db_digest, 0xb7e4_2884_33ae_9c8e,
@@ -234,4 +253,121 @@ fn training_database_and_deep16_model_are_pinned() {
         model_digest, 0xa48a_8536_7c61_620f,
         "Deep.16 model digest {model_digest:#018x}"
     );
+}
+
+/// `bits` as a Rust array literal, for a failure message to paste from.
+fn literal(bits: &[u64]) -> String {
+    let words: Vec<String> = bits.iter().map(|b| format!("{b:#018x}")).collect();
+    format!("[{}]", words.join(", "))
+}
+
+/// The bits of every [`LearnerReport`] figure except the measured latency:
+/// `(speedup_over_gpu_pct, speedup_over_multicore_pct, accuracy_pct,
+/// gap_from_ideal_pct)`.
+fn report_bits(r: &LearnerReport) -> [u64; 4] {
+    [
+        r.speedup_over_gpu_pct,
+        r.speedup_over_multicore_pct,
+        r.accuracy_pct,
+        r.gap_from_ideal_pct,
+    ]
+    .map(f64::to_bits)
+}
+
+/// Table IV and the Fig. 11 headline charge the §V-A overhead from the
+/// predictor's inference FLOPs, so every figure they print is a pure
+/// function of the database: pinned bit for bit on the serving database,
+/// over the whole 9 × 9 grid.
+#[test]
+fn table4_rows_and_fig11_headline_are_pinned() {
+    let (db, nn) = pinned_database_and_deep16();
+    let system = MultiAcceleratorSystem::primary();
+    let evaluator = Evaluator::new(system.clone(), Objective::Performance);
+    let tree = DecisionTree::paper();
+    let linear = RegressionPredictor::train_linear(db);
+    let multi = RegressionPredictor::train_multi(db);
+    let adaptive = AdaptiveLibrary::train(db);
+    // Decimal values: tree −14.40 / 11.16 / 44.57 / 58.36; linear 4.19 /
+    // 35.30 / 62.72 / 30.11; order-7 6.05 / 37.73 / 57.10 / 27.81;
+    // adaptive −15.29 / 10.01 / 66.91 / 60.03; Deep.16 10.33 / 43.28 /
+    // 72.16 / 22.86.
+    let learners: [(&dyn Predictor, [u64; 4]); 5] = [
+        (
+            &tree,
+            [
+                0xc02cce66e8c2c22b,
+                0x402652c61d1ac634,
+                0x404648b0fcd6e9e1,
+                0x404d2e5178deed88,
+            ],
+        ),
+        (
+            &linear,
+            [
+                0x4010be81da2e4930,
+                0x4041a6c156471282,
+                0x404f5ba781948b11,
+                0x403e1b42a90de25c,
+            ],
+        ),
+        (
+            &multi,
+            [
+                0x401837f5e40a7498,
+                0x4042dd5f4171dc43,
+                0x404c8ca4587e6b75,
+                0x403bd0690fa79dc2,
+            ],
+        ),
+        (
+            &adaptive,
+            [
+                0xc02e961d416f801a,
+                0x402402f4cc451087,
+                0x4050ba781948b0fd,
+                0x404e034f6436939a,
+            ],
+        ),
+        (
+            nn,
+            [
+                0x4024aa3ea789599e,
+                0x4045a47a22f3b853,
+                0x40520a4587e6b74f,
+                0x4036dbc2a4ae6f79,
+            ],
+        ),
+    ];
+    let mut failures = Vec::new();
+    for (learner, want) in learners {
+        let report = evaluator.evaluate(learner);
+        let have = report_bits(&report);
+        if have != want {
+            failures.push(format!(
+                "{}: {} = {:?}",
+                report.name,
+                literal(&have),
+                [
+                    report.speedup_over_gpu_pct,
+                    report.speedup_over_multicore_pct,
+                    report.accuracy_pct,
+                    report.gap_from_ideal_pct,
+                ]
+            ));
+        }
+    }
+    let hm = HeteroMap::new(system, Box::new(nn.clone()));
+    let (over_gpu, over_mc, gap) = SchedulerComparison::run_with(&evaluator, &hm).headline();
+    let headline = [over_gpu, over_mc, gap].map(f64::to_bits);
+    // 10.33 % over GPU-only, 43.28 % over multicore-only, 22.86 % from the
+    // ideal: Deep.16's Table IV row, since both charge the same overhead.
+    let want = [0x4024aa3ea789599e, 0x4045a47a22f3b853, 0x4036dbc2a4ae6f79];
+    if headline != want {
+        failures.push(format!(
+            "headline: {} = {:?}",
+            literal(&headline),
+            [over_gpu, over_mc, gap]
+        ));
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

@@ -76,13 +76,14 @@ fn healthy_fault_plan_is_equivalent_to_no_fault_plan() {
             assert_eq!(a.attempts.records, b.attempts.records, "{w} {d}");
             assert_eq!(a.attempts.failovers, 0);
             assert_eq!(a.attempts.retry_time_ms, 0.0);
-            // Deploy times are identical modulo the measured predictor
-            // overhead (wall-clock, so it varies between the two calls).
-            let raw_a = a.report.time_ms - a.predictor_overhead_ms;
-            let raw_b = b.report.time_ms - b.predictor_overhead_ms;
-            assert!(
-                (raw_a - raw_b).abs() < 1e-9 * raw_a.abs().max(1.0),
-                "{w} {d}: {raw_a} vs {raw_b}"
+            // The predictor overhead is modeled, so the two completion
+            // times agree bit for bit.
+            assert_eq!(
+                a.report.time_ms.to_bits(),
+                b.report.time_ms.to_bits(),
+                "{w} {d}: {} vs {}",
+                a.report.time_ms,
+                b.report.time_ms
             );
             // And the deploy itself is bit-identical to the infallible path.
             let ctx = WorkloadContext::for_workload(w, d.stats());
@@ -113,11 +114,17 @@ fn retry_cost_is_charged_into_completion_time() {
         }
         let clean =
             HeteroMap::with_decision_tree().schedule(Workload::PageRank, Dataset::LiveJournal);
-        let raw = p.report.time_ms - p.predictor_overhead_ms - p.attempts.retry_time_ms;
-        let clean_raw = clean.report.time_ms - clean.predictor_overhead_ms;
-        assert!(
-            (raw - clean_raw).abs() < 1e-9 * clean_raw,
-            "seed {seed}: stripped time {raw} should equal clean {clean_raw}"
+        // The decision tree charges no modeled overhead, so the clean time
+        // is the bare deploy and the retried time is that plus the retries.
+        assert_eq!(clean.predictor_overhead_ms, 0.0);
+        assert_eq!(p.predictor_overhead_ms, 0.0);
+        assert_eq!(
+            p.report.time_ms.to_bits(),
+            (clean.report.time_ms + p.attempts.retry_time_ms).to_bits(),
+            "seed {seed}: {} should be clean {} + retries {}",
+            p.report.time_ms,
+            clean.report.time_ms,
+            p.attempts.retry_time_ms
         );
         if p.attempts.retry_time_ms > 0.0 {
             seen_retry = true;

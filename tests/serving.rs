@@ -1,6 +1,6 @@
 //! Cross-crate regression tests for the prediction-serving subsystem: the
 //! §V-A overhead accounting must survive the cache. A hit charges
-//! (near-)zero predictor overhead; a miss charges the full neural inference
+//! zero predictor overhead; a miss charges the full neural inference
 //! cost; and neither changes the predicted configuration or the deploy's
 //! base completion time.
 
@@ -38,7 +38,7 @@ fn cache_hits_skip_the_inference_cost_misses_pay_it() {
             miss_cost_ms.to_bits(),
             "{w}: miss overhead"
         );
-        // Hit: zero predictor overhead by default.
+        // Hit: no inference ran, so no predictor overhead.
         assert_eq!(
             hit.placement.predictor_overhead_ms, 0.0,
             "{w}: hit overhead"

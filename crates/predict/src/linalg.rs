@@ -248,7 +248,7 @@ pub fn ridge_solve(a: &Matrix, y: &[f64], lambda: f64) -> Option<Vec<f64>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -351,6 +351,52 @@ mod tests {
         let b = wavy(37, 2.2);
         let naive: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         assert!((dot_lanes(&a, &b) - naive).abs() < 1e-9 * naive.abs().max(1.0));
+    }
+
+    /// Test values that stress bit identity: `±0`, subnormals and large
+    /// magnitudes mixed into [`wavy`] data. No product or row sum of two
+    /// such vectors overflows, so every result is a finite number.
+    pub(crate) fn edgy(len: usize, phase: usize) -> Vec<f64> {
+        (0..len)
+            .map(|i| match (i * 7 + phase) % 11 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 4.9e-324 * (i + 1) as f64,
+                3 => -2.2e-310,
+                4 => 1.0e150,
+                5 => -3.0e149,
+                6 => 1.0e-160,
+                _ => ((i as f64) * 0.7 + phase as f64).sin() * 3.0 + 0.1,
+            })
+            .collect()
+    }
+
+    /// Input widths and output heights covering every lane and row-block
+    /// remainder, plus the Deep.128 layer shapes.
+    pub(crate) const INPUTS: [usize; 9] = [1, 3, 4, 7, 8, 9, 17, 128, 131];
+    pub(crate) const OUTPUTS: [usize; 6] = [1, 3, 4, 5, 20, 128];
+
+    #[test]
+    fn matvec_bias_matches_reference_bitwise_across_shapes_and_special_values() {
+        for inputs in INPUTS {
+            for outputs in OUTPUTS {
+                let weights = edgy(inputs * outputs, 3);
+                let biases = edgy(outputs, 5);
+                let x = edgy(inputs, 1);
+                let mut out = vec![f64::NAN; outputs];
+                matvec_bias(&weights, &biases, inputs, &x, &mut out);
+                for (o, got) in out.iter().enumerate() {
+                    let row = &weights[o * inputs..(o + 1) * inputs];
+                    let expect = dot_lanes_reference(row, &x) + biases[o];
+                    assert!(expect.is_finite(), "{inputs}x{outputs} row {o}");
+                    assert_eq!(
+                        got.to_bits(),
+                        expect.to_bits(),
+                        "{inputs} inputs, {outputs} outputs, row {o}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

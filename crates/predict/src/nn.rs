@@ -573,6 +573,103 @@ mod tests {
         );
     }
 
+    /// Deep.128 long enough for the momentum buffers to carry many steps
+    /// of history into every update; release-mode tests run it in well
+    /// under a second.
+    #[test]
+    fn golden_training_digest_deep128_25_epochs() {
+        let digest = golden_digest(128, 25);
+        assert_eq!(
+            digest, 0x005b_7835_56d9_bbbe,
+            "Deep.128 digest {digest:#018x}"
+        );
+    }
+
+    /// The backward pass as a plain transcription of the order documented
+    /// on [`NeuralPredictor::train`]: row by row, `back` first under the
+    /// pre-step weights, then the row's momentum update, then its bias.
+    fn backward_update_reference(
+        layer: &mut Layer,
+        input: &[f64],
+        delta: &[f64],
+        mut back: Option<&mut [f64]>,
+        momentum: f64,
+        learning_rate: f64,
+    ) {
+        if let Some(back) = back.as_deref_mut() {
+            back.fill(0.0);
+        }
+        let n = layer.inputs;
+        for o in 0..layer.outputs {
+            let d = delta[o];
+            if let Some(back) = back.as_deref_mut() {
+                for c in 0..n {
+                    back[c] += layer.weights[o * n + c] * d;
+                }
+            }
+            for i in 0..n {
+                let g = d * input[i];
+                let nv = layer.w_vel[o * n + i] * momentum - learning_rate * g;
+                layer.w_vel[o * n + i] = nv;
+                layer.weights[o * n + i] += nv;
+            }
+            let nv = layer.b_vel[o] * momentum - learning_rate * d;
+            layer.b_vel[o] = nv;
+            layer.biases[o] += nv;
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Three consecutive steps, so the later ones start from non-zero
+    /// velocities, with and without a `back` buffer, on every shape of the
+    /// lane-kernel sweep.
+    #[test]
+    fn backward_update_matches_reference_bitwise_across_shapes_and_special_values() {
+        use crate::linalg::tests::{edgy, INPUTS, OUTPUTS};
+        for inputs in INPUTS {
+            for outputs in OUTPUTS {
+                for with_back in [true, false] {
+                    let start = Layer::from_parts(
+                        inputs,
+                        outputs,
+                        edgy(inputs * outputs, 2),
+                        edgy(outputs, 9),
+                    );
+                    let (mut got, mut expect) = (start.clone(), start);
+                    let (mut back_got, mut back_expect) = (vec![7.0; inputs], vec![7.0; inputs]);
+                    for step in 0..3 {
+                        let input = edgy(inputs, 4 + step);
+                        let delta = edgy(outputs, 6 + step);
+                        got.backward_update(
+                            &input,
+                            &delta,
+                            with_back.then_some(back_got.as_mut_slice()),
+                            0.85,
+                            0.15,
+                        );
+                        backward_update_reference(
+                            &mut expect,
+                            &input,
+                            &delta,
+                            with_back.then_some(back_expect.as_mut_slice()),
+                            0.85,
+                            0.15,
+                        );
+                        let shape = format!("{inputs}x{outputs} back={with_back} step {step}");
+                        assert_eq!(bits(&got.weights), bits(&expect.weights), "{shape}");
+                        assert_eq!(bits(&got.w_vel), bits(&expect.w_vel), "{shape}");
+                        assert_eq!(bits(&got.biases), bits(&expect.biases), "{shape}");
+                        assert_eq!(bits(&got.b_vel), bits(&expect.b_vel), "{shape}");
+                        assert_eq!(bits(&back_got), bits(&back_expect), "{shape}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn outputs_are_in_unit_range() {
         let set = toy_set();

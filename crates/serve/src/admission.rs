@@ -35,12 +35,10 @@ use heteromap::rounds::Resolution;
 use heteromap::{BreakerBoard, BreakerConfig, BreakerState, DeployOptions};
 use heteromap_accel::cost::WorkloadContext;
 use heteromap_graph::GraphStats;
-use heteromap_kernels::par::par_map;
 use heteromap_model::{Accelerator, Workload};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Why a request was refused. Every refusal is typed — callers can retry
 /// overloads, relax deadlines, or back off from an unhealthy system without
@@ -310,56 +308,6 @@ impl AdmissionController {
             Err(Rejected::Unhealthy)
         }
     }
-
-    /// Closed-loop driver through admission: serves every
-    /// `(workload, stats, deadline_ms)` request across `threads` workers and
-    /// tallies how each resolved. The admission-controlled counterpart of
-    /// [`ServeEngine::run_closed_loop`].
-    pub fn run_closed_loop(
-        &self,
-        engine: &ServeEngine,
-        requests: &[(Workload, GraphStats, f64)],
-        threads: usize,
-    ) -> AdmittedLoopReport {
-        let start = Instant::now();
-        let threads = threads.max(1).min(requests.len().max(1));
-        let cursor = AtomicUsize::new(0);
-        let tally = par_map(threads, threads, |_| {
-            let mut t = AdmittedLoopReport::default();
-            loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(workload, stats, deadline_ms)) = requests.get(idx) else {
-                    break;
-                };
-                let ctx = WorkloadContext::for_workload(workload, stats);
-                t.requests += 1;
-                match self.try_schedule_context(engine, &ctx, deadline_ms) {
-                    Ok(served) => {
-                        t.good += 1;
-                        if served.source == ServeSource::StaleHit {
-                            t.stale += 1;
-                        }
-                    }
-                    Err(Rejected::Overload { .. }) => t.rejected_overload += 1,
-                    Err(Rejected::Deadline { .. }) => t.rejected_deadline += 1,
-                    Err(_) => t.rejected_unhealthy += 1,
-                }
-            }
-            t
-        })
-        .into_iter()
-        .fold(AdmittedLoopReport::default(), AdmittedLoopReport::merge);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        AdmittedLoopReport {
-            wall_ms,
-            goodput_rps: if wall_ms > 0.0 {
-                tally.good as f64 / (wall_ms / 1e3)
-            } else {
-                f64::INFINITY
-            },
-            ..tally
-        }
-    }
 }
 
 /// Flushes breaker open/close deltas into the metrics counters.
@@ -370,48 +318,6 @@ fn flush_breaker_metrics(sync: &mut BoardSync, metrics: &MetricsRegistry) {
     metrics.breaker_closes.add(closes - sync.reported_closes);
     sync.reported_opens = opens;
     sync.reported_closes = closes;
-}
-
-/// How an admission-controlled closed loop resolved, request by request.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct AdmittedLoopReport {
-    /// Requests driven through admission.
-    pub requests: usize,
-    /// Requests that resolved to a placement within their deadline
-    /// (including stale-shed ones).
-    pub good: usize,
-    /// Subset of `good` served stale cached predictions under overload.
-    pub stale: usize,
-    /// Requests rejected for overload with no stale fallback.
-    pub rejected_overload: usize,
-    /// Requests rejected with a typed deadline error.
-    pub rejected_deadline: usize,
-    /// Requests rejected with every accelerator unhealthy.
-    pub rejected_unhealthy: usize,
-    /// Wall-clock duration of the loop (milliseconds).
-    pub wall_ms: f64,
-    /// Good (within-deadline) responses per second of wall time.
-    pub goodput_rps: f64,
-}
-
-impl AdmittedLoopReport {
-    fn merge(mut self, other: AdmittedLoopReport) -> AdmittedLoopReport {
-        self.requests += other.requests;
-        self.good += other.good;
-        self.stale += other.stale;
-        self.rejected_overload += other.rejected_overload;
-        self.rejected_deadline += other.rejected_deadline;
-        self.rejected_unhealthy += other.rejected_unhealthy;
-        self
-    }
-
-    /// Fraction of driven requests that resolved within deadline.
-    pub fn goodput_fraction(&self) -> f64 {
-        if self.requests == 0 {
-            return f64::NAN;
-        }
-        self.good as f64 / self.requests as f64
-    }
 }
 
 #[cfg(test)]
@@ -589,34 +495,6 @@ mod tests {
         assert_eq!(err, Rejected::Unhealthy);
         assert_eq!(e.metrics().snapshot().admitted, before);
         assert_eq!(e.metrics().snapshot().rejected_unhealthy, 2);
-    }
-
-    #[test]
-    fn closed_loop_tallies_every_resolution() {
-        let e = engine();
-        let ac = AdmissionController::new(AdmissionConfig::default());
-        let requests: Vec<(Workload, GraphStats, f64)> = (0..40)
-            .map(|i| {
-                (
-                    if i % 2 == 0 {
-                        Workload::Bfs
-                    } else {
-                        Workload::PageRank
-                    },
-                    Dataset::Facebook.stats(),
-                    f64::INFINITY,
-                )
-            })
-            .collect();
-        let report = ac.run_closed_loop(&e, &requests, 4);
-        assert_eq!(report.requests, 40);
-        assert_eq!(report.good, 40);
-        assert_eq!(
-            report.rejected_overload + report.rejected_deadline + report.rejected_unhealthy,
-            0
-        );
-        assert!((report.goodput_fraction() - 1.0).abs() < 1e-12);
-        assert!(report.goodput_rps > 0.0);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod instrument;
 pub mod metrics;
 pub mod pad;
 
-pub use admission::{AdmissionConfig, AdmissionController, AdmittedLoopReport, Rejected};
+pub use admission::{AdmissionConfig, AdmissionController, Rejected};
 pub use cache::{CachedPrediction, InsertOutcome, PredKey, ShardedCache};
 pub use engine::{ClosedLoopReport, ServeConfig, ServeEngine, ServeMode, ServeSource, Served};
 pub use instrument::MeteredRunner;

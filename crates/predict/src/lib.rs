@@ -27,6 +27,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod adaptive;
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 pub mod decision_tree;
 pub mod eval;
 pub mod linalg;

@@ -79,6 +79,18 @@ pub fn matvec_bias(weights: &[f64], biases: &[f64], inputs: usize, x: &[f64], ou
     assert_eq!(weights.len(), inputs * outputs, "weight matrix shape");
     assert_eq!(x.len(), inputs, "input vector shape");
     assert_eq!(out.len(), outputs, "output vector shape");
+    #[cfg(target_arch = "x86_64")]
+    if crate::avx2::available() {
+        // SAFETY: the CPU supports AVX2, and the shapes are asserted above.
+        unsafe { crate::avx2::matvec_bias(weights, biases, inputs, x, out) };
+        return;
+    }
+    matvec_bias_scalar(weights, biases, inputs, x, out);
+}
+
+/// The portable [`matvec_bias`]: each row through [`dot_lanes`]. Shapes
+/// as [`matvec_bias`] asserts.
+fn matvec_bias_scalar(weights: &[f64], biases: &[f64], inputs: usize, x: &[f64], out: &mut [f64]) {
     for (o, (row, slot)) in weights.chunks_exact(inputs).zip(out.iter_mut()).enumerate() {
         *slot = dot_lanes(row, x) + biases[o];
     }
@@ -376,6 +388,8 @@ pub(crate) mod tests {
     pub(crate) const INPUTS: [usize; 9] = [1, 3, 4, 7, 8, 9, 17, 128, 131];
     pub(crate) const OUTPUTS: [usize; 6] = [1, 3, 4, 5, 20, 128];
 
+    /// The dispatched kernel (AVX2 where the CPU has it) and the scalar
+    /// fallback, called directly, both against the reference.
     #[test]
     fn matvec_bias_matches_reference_bitwise_across_shapes_and_special_values() {
         for inputs in INPUTS {
@@ -384,16 +398,16 @@ pub(crate) mod tests {
                 let biases = edgy(outputs, 5);
                 let x = edgy(inputs, 1);
                 let mut out = vec![f64::NAN; outputs];
+                let mut scalar = vec![f64::NAN; outputs];
                 matvec_bias(&weights, &biases, inputs, &x, &mut out);
-                for (o, got) in out.iter().enumerate() {
+                matvec_bias_scalar(&weights, &biases, inputs, &x, &mut scalar);
+                for (o, (got, fallback)) in out.iter().zip(&scalar).enumerate() {
                     let row = &weights[o * inputs..(o + 1) * inputs];
                     let expect = dot_lanes_reference(row, &x) + biases[o];
                     assert!(expect.is_finite(), "{inputs}x{outputs} row {o}");
-                    assert_eq!(
-                        got.to_bits(),
-                        expect.to_bits(),
-                        "{inputs} inputs, {outputs} outputs, row {o}"
-                    );
+                    let shape = format!("{inputs} inputs, {outputs} outputs, row {o}");
+                    assert_eq!(got.to_bits(), expect.to_bits(), "{shape}");
+                    assert_eq!(fallback.to_bits(), expect.to_bits(), "scalar {shape}");
                 }
             }
         }

@@ -71,13 +71,52 @@ impl Layer {
         }
     }
 
-    /// One fused, row-oriented backward pass: for each output row `o`,
-    /// adds the row's weights times `delta[o]` into `back` (when given) and
-    /// only then applies the momentum update to the row and its bias, so
-    /// `back` ends as `Wᵀ · delta` under the pre-step weights. The order of
-    /// every operation is the contract documented on
-    /// [`NeuralPredictor::train`].
+    /// One fused backward pass: `back` (when given) ends as `Wᵀ · delta`
+    /// under the pre-step weights, and every weight and bias takes its
+    /// momentum step. The order of every operation is the contract
+    /// documented on [`NeuralPredictor::train`]; CPUs with AVX2 run it in
+    /// `crate::avx2`, all others in [`Layer::backward_update_scalar`].
     fn backward_update(
+        &mut self,
+        input: &[f64],
+        delta: &[f64],
+        back: Option<&mut [f64]>,
+        momentum: f64,
+        learning_rate: f64,
+    ) {
+        assert_eq!(
+            self.weights.len(),
+            self.inputs * self.outputs,
+            "weight matrix shape"
+        );
+        assert_eq!(
+            self.w_vel.len(),
+            self.weights.len(),
+            "velocity matrix shape"
+        );
+        assert_eq!(self.biases.len(), self.outputs, "bias vector shape");
+        assert_eq!(self.b_vel.len(), self.outputs, "bias velocity shape");
+        assert_eq!(input.len(), self.inputs, "input vector shape");
+        assert_eq!(delta.len(), self.outputs, "delta vector shape");
+        if let Some(back) = back.as_deref() {
+            assert_eq!(back.len(), self.inputs, "back vector shape");
+        }
+        #[cfg(target_arch = "x86_64")]
+        if crate::avx2::available() {
+            // SAFETY: the CPU supports AVX2, and the shapes are asserted
+            // above.
+            unsafe {
+                crate::avx2::backward_update(self, input, delta, back, momentum, learning_rate)
+            };
+            return;
+        }
+        self.backward_update_scalar(input, delta, back, momentum, learning_rate);
+    }
+
+    /// The portable backward pass, row by row: adds each row's weights
+    /// times `delta[o]` into `back` (when given) and only then applies the
+    /// momentum update to the row and its bias.
+    fn backward_update_scalar(
         &mut self,
         input: &[f64],
         delta: &[f64],
@@ -600,18 +639,18 @@ mod tests {
             back.fill(0.0);
         }
         let n = layer.inputs;
-        for o in 0..layer.outputs {
-            let d = delta[o];
+        for (o, &d) in delta.iter().enumerate() {
             if let Some(back) = back.as_deref_mut() {
-                for c in 0..n {
-                    back[c] += layer.weights[o * n + c] * d;
+                for (c, slot) in back.iter_mut().enumerate() {
+                    *slot += layer.weights[o * n + c] * d;
                 }
             }
-            for i in 0..n {
-                let g = d * input[i];
-                let nv = layer.w_vel[o * n + i] * momentum - learning_rate * g;
-                layer.w_vel[o * n + i] = nv;
-                layer.weights[o * n + i] += nv;
+            for (i, &xi) in input.iter().enumerate() {
+                let k = o * n + i;
+                let g = d * xi;
+                let nv = layer.w_vel[k] * momentum - learning_rate * g;
+                layer.w_vel[k] = nv;
+                layer.weights[k] += nv;
             }
             let nv = layer.b_vel[o] * momentum - learning_rate * d;
             layer.b_vel[o] = nv;
@@ -623,9 +662,11 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Three consecutive steps, so the later ones start from non-zero
-    /// velocities, with and without a `back` buffer, on every shape of the
-    /// lane-kernel sweep.
+    /// The dispatched pass (AVX2 where the CPU has it) and the scalar
+    /// fallback, called directly, both against the reference: three
+    /// consecutive steps, so the later ones start from non-zero velocities,
+    /// with and without a `back` buffer, on every shape of the lane-kernel
+    /// sweep.
     #[test]
     fn backward_update_matches_reference_bitwise_across_shapes_and_special_values() {
         use crate::linalg::tests::{edgy, INPUTS, OUTPUTS};
@@ -638,8 +679,10 @@ mod tests {
                         edgy(inputs * outputs, 2),
                         edgy(outputs, 9),
                     );
-                    let (mut got, mut expect) = (start.clone(), start);
-                    let (mut back_got, mut back_expect) = (vec![7.0; inputs], vec![7.0; inputs]);
+                    let (mut got, mut scalar, mut expect) = (start.clone(), start.clone(), start);
+                    let mut back_got = vec![7.0; inputs];
+                    let mut back_scalar = back_got.clone();
+                    let mut back_expect = back_got.clone();
                     for step in 0..3 {
                         let input = edgy(inputs, 4 + step);
                         let delta = edgy(outputs, 6 + step);
@@ -647,6 +690,13 @@ mod tests {
                             &input,
                             &delta,
                             with_back.then_some(back_got.as_mut_slice()),
+                            0.85,
+                            0.15,
+                        );
+                        scalar.backward_update_scalar(
+                            &input,
+                            &delta,
+                            with_back.then_some(back_scalar.as_mut_slice()),
                             0.85,
                             0.15,
                         );
@@ -664,6 +714,11 @@ mod tests {
                         assert_eq!(bits(&got.biases), bits(&expect.biases), "{shape}");
                         assert_eq!(bits(&got.b_vel), bits(&expect.b_vel), "{shape}");
                         assert_eq!(bits(&back_got), bits(&back_expect), "{shape}");
+                        assert_eq!(bits(&scalar.weights), bits(&expect.weights), "{shape}");
+                        assert_eq!(bits(&scalar.w_vel), bits(&expect.w_vel), "{shape}");
+                        assert_eq!(bits(&scalar.biases), bits(&expect.biases), "{shape}");
+                        assert_eq!(bits(&scalar.b_vel), bits(&expect.b_vel), "{shape}");
+                        assert_eq!(bits(&back_scalar), bits(&back_expect), "{shape}");
                     }
                 }
             }

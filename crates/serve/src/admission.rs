@@ -10,8 +10,9 @@
 //!   ([`AdmissionConfig::max_inflight`]). When the budget is full the
 //!   controller prefers *shedding onto staleness* over dropping: if the
 //!   cache already holds a prediction for the key, the request is served
-//!   from it ([`ServeSource::StaleHit`]) without touching the inference
-//!   path; only a cold key is rejected with [`Rejected::Overload`].
+//!   from it ([`ServeSource::StaleHit`](crate::ServeSource::StaleHit))
+//!   without touching the inference path; only a cold key is rejected
+//!   with [`Rejected::Overload`].
 //! * **Deadlines** — each request carries a simulated completion budget,
 //!   threaded through [`DeployOptions`] into the core retry loop so backoff
 //!   never outlives the caller. A deploy that cannot fit returns
@@ -29,7 +30,7 @@
 //! serving process explains itself through the flight recorder and the
 //! metrics snapshot.
 
-use crate::engine::{ServeEngine, ServeSource, Served};
+use crate::engine::{ServeEngine, Served};
 use crate::metrics::MetricsRegistry;
 use heteromap::rounds::Resolution;
 use heteromap::{BreakerBoard, BreakerConfig, BreakerState, DeployOptions};
@@ -323,7 +324,7 @@ fn flush_breaker_metrics(sync: &mut BoardSync, metrics: &MetricsRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ServeConfig, ServeMode};
+    use crate::engine::{ServeConfig, ServeMode, ServeSource};
     use heteromap::HeteroMap;
     use heteromap_accel::{FaultPlan, FaultState};
     use heteromap_graph::datasets::Dataset;

@@ -126,42 +126,19 @@ pub(crate) unsafe fn backward_update(
     if let Some(back) = back.as_deref_mut() {
         back.fill(0.0);
     }
-    let outputs = layer.outputs;
-    for o in (0..outputs - outputs % ROWS).step_by(ROWS) {
-        // SAFETY: forwarded from this function's contract.
-        unsafe {
-            backward_rows::<ROWS>(
-                layer,
-                o,
-                input,
-                delta,
-                back.as_deref_mut(),
-                momentum,
-                learning_rate,
-            )
-        };
+    let (m, lr) = (momentum, learning_rate);
+    let blocks = layer.outputs - layer.outputs % ROWS;
+    for o in (0..blocks).step_by(ROWS) {
+        // SAFETY: forwarded from this function's contract; `o + ROWS <= outputs`.
+        unsafe { backward_rows::<ROWS>(layer, o, input, delta, back.as_deref_mut(), m, lr) };
     }
-    for o in outputs - outputs % ROWS..outputs {
-        // SAFETY: as above.
-        unsafe {
-            backward_rows::<1>(
-                layer,
-                o,
-                input,
-                delta,
-                back.as_deref_mut(),
-                momentum,
-                learning_rate,
-            )
-        };
+    for o in blocks..layer.outputs {
+        // SAFETY: as above; `o + 1 <= outputs`.
+        unsafe { backward_rows::<1>(layer, o, input, delta, back.as_deref_mut(), m, lr) };
     }
-    for ((b, bv), &d) in layer
-        .biases
-        .iter_mut()
-        .zip(layer.b_vel.iter_mut())
-        .zip(delta)
-    {
-        let nv = *bv * momentum - learning_rate * d;
+    let biases = layer.biases.iter_mut().zip(&mut layer.b_vel);
+    for ((b, bv), &d) in biases.zip(delta) {
+        let nv = *bv * m - lr * d;
         *bv = nv;
         *b += nv;
     }
@@ -174,7 +151,6 @@ pub(crate) unsafe fn backward_update(
 ///
 /// As [`backward_update`], with `o + R <= outputs`.
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn backward_rows<const R: usize>(
     layer: &mut Layer,
     o: usize,

@@ -7,18 +7,26 @@
 //!
 //! [`dot_lanes`] accumulates a dot product into [`LANES`] independent
 //! partial sums (one per unrolled lane) and combines them in a **fixed
-//! reduction tree**. Independent accumulators break the sequential
-//! dependence chain, so the compiler vectorizes the inner loop (f64x4/f64x8
-//! on AVX hardware) and the CPU overlaps the multiplies. The combine order
-//! is part of the contract: [`dot_lanes_reference`] is a deliberately naive
-//! scalar transcription of the *same* arithmetic order, kept as the
-//! bit-equivalence oracle for the optimized kernels. Inference and training
-//! share [`matvec_bias`], and both must agree with the reference
-//! bit-for-bit.
+//! reduction tree**. The combine order is part of the contract:
+//! [`dot_lanes_reference`] is a deliberately naive scalar transcription of
+//! the *same* arithmetic order, kept as the bit-equivalence oracle for the
+//! optimized kernels. Inference and training share [`matvec_bias`], and
+//! both must agree with the reference bit-for-bit.
+//!
+//! # Dispatch
+//!
+//! On the default x86-64 target the compiler emits SSE2 only, and the
+//! scalar loops here stay two-wide at best. So [`matvec_bias`] (and the
+//! trainer's backward pass) check `is_x86_feature_detected!("avx2")` and,
+//! when it holds, run a hand-written AVX2 copy in the crate-private `avx2`
+//! module: the same lanes as two 4-wide vectors, four rows sharing each
+//! load of `x`, the same combine tree and tail order. The kernels use
+//! separate multiplies and adds and never FMA, which would round once
+//! where the contract rounds twice. Other CPUs and targets run the scalar
+//! code; the tests call both paths against the reference.
 
-/// Unroll width of the lane kernels. Eight f64 accumulators cover an
-/// f32x8-style register blocking on AVX2 (two f64x4 vectors) while staying a
-/// plain scalar loop on hardware without SIMD.
+/// Unroll width of the lane kernels: eight f64 accumulators, two 4-wide
+/// vectors in the AVX2 kernel and a plain scalar loop elsewhere.
 pub const LANES: usize = 8;
 
 /// Lane-unrolled dot product of `a` and `b` over the shorter length.
@@ -69,7 +77,8 @@ pub fn dot_lanes_reference(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Dense `out = W · x + bias` for a row-major `outputs × inputs` weight
-/// matrix, each row reduced with [`dot_lanes`].
+/// matrix, each row reduced in [`dot_lanes`]'s order: by the AVX2 kernel
+/// where the CPU has it, else by [`dot_lanes`] itself (module docs).
 ///
 /// # Panics
 ///
@@ -366,8 +375,8 @@ pub(crate) mod tests {
     }
 
     /// Test values that stress bit identity: `±0`, subnormals and large
-    /// magnitudes mixed into [`wavy`] data. No product or row sum of two
-    /// such vectors overflows, so every result is a finite number.
+    /// magnitudes mixed into [`wavy`]'s sine data. No product or row sum
+    /// of two such vectors overflows, so every result is a finite number.
     pub(crate) fn edgy(len: usize, phase: usize) -> Vec<f64> {
         (0..len)
             .map(|i| match (i * 7 + phase) % 11 {
@@ -410,21 +419,6 @@ pub(crate) mod tests {
                     assert_eq!(fallback.to_bits(), expect.to_bits(), "scalar {shape}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn matvec_bias_matches_per_row_reference() {
-        let (inputs, outputs) = (17, 20);
-        let weights = wavy(inputs * outputs, 0.5);
-        let biases = wavy(outputs, 4.0);
-        let x = wavy(inputs, 1.1);
-        let mut out = vec![0.0; outputs];
-        matvec_bias(&weights, &biases, inputs, &x, &mut out);
-        for o in 0..outputs {
-            let expect =
-                dot_lanes_reference(&weights[o * inputs..(o + 1) * inputs], &x) + biases[o];
-            assert_eq!(out[o].to_bits(), expect.to_bits(), "row {o}");
         }
     }
 }

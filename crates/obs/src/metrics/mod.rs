@@ -497,6 +497,62 @@ mod tests {
     }
 
     #[test]
+    fn histogram_recorded_from_more_threads_than_shards_equals_serial_recording() {
+        // Two windows of samples spanning every bucket, the overflow bucket,
+        // negatives and NaN, recorded once serially and once partitioned
+        // across 16 threads (twice `COUNTER_SHARDS`, so threads share
+        // shards). Every reading must agree exactly.
+        const THREADS: usize = 16;
+        let sample = |i: usize| match i % 97 {
+            0 => f64::NAN,
+            1 => -0.5,
+            2 => 1e9,
+            k => ((i * 7919) % 100_003) as f64 * 1e-5 * (k % 5) as f64,
+        };
+        let hub = std::sync::Arc::new(MetricsHub::new());
+        let serial = hub.histogram("serial_ms", &[], "serial", &LATENCY_BOUNDS_MS);
+        let sharded = hub.histogram("sharded_ms", &[], "sharded", &LATENCY_BOUNDS_MS);
+        for window in 0..2usize {
+            let samples = (window * 4000)..((window + 1) * 4000 + window * 800);
+            for i in samples.clone() {
+                serial.record(sample(i));
+            }
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (h, samples) = (sharded.clone(), samples.clone());
+                    std::thread::spawn(move || {
+                        for i in samples.skip(t).step_by(THREADS) {
+                            h.record(sample(i));
+                        }
+                    })
+                })
+                .collect();
+            for handle in handles {
+                handle.join().unwrap();
+            }
+            hub.roll();
+        }
+
+        assert_eq!(sharded.bucket_counts(), serial.bucket_counts());
+        assert_eq!(sharded.count(), 8800);
+        assert_eq!(sharded.count(), serial.count());
+        assert_eq!(sharded.sum().to_bits(), serial.sum().to_bits());
+        for q in [0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(sharded.quantile(q).to_bits(), serial.quantile(q).to_bits());
+        }
+        let (a, b) = (
+            hub.windows("serial_ms", &[]),
+            hub.windows("sharded_ms", &[]),
+        );
+        assert_eq!(a.len(), 2);
+        for (a, b) in a.iter().zip(&b) {
+            assert_eq!((a.index, a.count), (b.index, b.count));
+            assert_eq!(a.sum.to_bits(), b.sum.to_bits());
+            assert_eq!(a.p99.to_bits(), b.p99.to_bits());
+        }
+    }
+
+    #[test]
     fn hub_exposition_round_trips() {
         let hub = MetricsHub::new();
         hub.counter("a_total", &[("k", "v w")], "a").add(9);

@@ -266,15 +266,18 @@ fn invalidation_races_inference_while_faults_are_active() {
         FaultPlan::healthy(),
     ];
     let requests = mixed_requests(3, 1);
+    // More workers than the engine has reader slots, so readers share slots
+    // while the chaos thread write-locks all of them.
+    let workers = 2 * heteromap_obs::metrics::COUNTER_SHARDS;
     let served: Vec<Served> = std::thread::scope(|scope| {
         let eng = &engine;
         let reqs = &requests;
-        let workers: Vec<_> = (0..8)
+        let workers: Vec<_> = (0..workers)
             .map(|worker| {
                 scope.spawn(move || {
                     reqs.iter()
                         .skip(worker)
-                        .step_by(8)
+                        .step_by(workers)
                         .map(|(w, stats)| eng.schedule_stats(*w, *stats))
                         .collect::<Vec<Served>>()
                 })
@@ -323,6 +326,55 @@ fn invalidation_races_inference_while_faults_are_active() {
     let reference = engine.with_model(|m| m.schedule_stats(w, stats));
     assert_eq!(after.placement.config, reference.config);
     assert!(after.placement.completed());
+}
+
+#[test]
+fn fault_plan_swap_waits_for_an_in_flight_reader() {
+    use heteromap_accel::FaultPlan;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    use std::time::{Duration, Instant};
+
+    let engine = ServeEngine::new(HeteroMap::with_decision_tree(), ServeConfig::default());
+    engine.schedule(Workload::Bfs, Dataset::Facebook);
+    let (holding, release) = (Barrier::new(2), Barrier::new(2));
+    let swapped = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        // Thread A: a reader that stays inside `with_model` until released.
+        let reader = scope.spawn(|| {
+            engine.with_model(|_| {
+                holding.wait();
+                release.wait();
+            })
+        });
+        holding.wait();
+        // Thread B: the swap must wait for A's read to end.
+        let writer = scope.spawn(|| {
+            engine.set_fault_plan(FaultPlan::gpu_down());
+            swapped.store(true, Ordering::SeqCst);
+        });
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(
+            !swapped.load(Ordering::SeqCst),
+            "the swap returned while a reader still held the model"
+        );
+        release.wait();
+        reader.join().expect("reader panicked");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !swapped.load(Ordering::SeqCst) {
+            assert!(
+                Instant::now() < deadline,
+                "the swap never returned after the reader released"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        writer.join().expect("writer panicked");
+    });
+    assert_eq!(engine.cache_len(), 0, "the swap invalidated the cache");
+    assert_eq!(
+        engine.with_model(|m| *m.system().faults()),
+        FaultPlan::gpu_down()
+    );
 }
 
 #[test]

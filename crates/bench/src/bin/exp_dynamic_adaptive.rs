@@ -31,7 +31,9 @@
 //!   (`dyn_repredictions_total` / `dyn_migrations_total`, the series the
 //!   Prometheus golden test freezes).
 //!
-//! Writes `BENCH_dyn.json`. Pass `--smoke` for the CI-sized run.
+//! Writes `BENCH_dyn.json`, the committed full run. Pass `--smoke` for the
+//! CI-sized run, which writes `BENCH_dyn.smoke.json` instead (git-ignored),
+//! so a smoke run never overwrites the committed artifact.
 
 use heteromap::HeteroMap;
 use heteromap_bench::write_artifact;
@@ -370,8 +372,13 @@ fn main() {
     println!("obs: {repred_delta} re-predictions and {migr_delta} migrations visible in metrics");
 
     // ---- Artifact ----------------------------------------------------
+    let path = if smoke {
+        "BENCH_dyn.smoke.json"
+    } else {
+        "BENCH_dyn.json"
+    };
     write_artifact(
-        "BENCH_dyn.json",
+        path,
         "dynamic_adaptive",
         THREADS.len(), // digest-checked runs per mode
         Object::new()
@@ -392,5 +399,5 @@ fn main() {
             .field("static_digest", json::digest(static_.digest))
             .field("threads", THREADS.as_slice()),
     );
-    println!("\nall gates hold; wrote BENCH_dyn.json");
+    println!("\nall gates hold; wrote {path}");
 }

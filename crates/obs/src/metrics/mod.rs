@@ -5,8 +5,8 @@
 //!
 //! # Architecture
 //!
-//! * [`timeseries`] holds the recording primitives. Counters are sharded
-//!   per thread and histograms keep integer bucket/sum atomics, so every
+//! * [`timeseries`] holds the recording primitives. Counters and
+//!   histograms are sharded per thread and keep integer atomics, so every
 //!   recording operation is a commutative `fetch_add` — totals are exact
 //!   and independent of thread count or interleaving. That is what lets
 //!   the chaos/fleet simulators publish live telemetry while keeping their

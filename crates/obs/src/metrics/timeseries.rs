@@ -105,21 +105,36 @@ pub const LATENCY_BOUNDS_MS: [f64; 31] = [
     1000.0, 2000.0, 5000.0,
 ];
 
-/// A fixed-bucket histogram with atomic buckets.
+/// Words in one [`Line`].
+const LINE_WORDS: usize = 8;
+
+/// One cache line of atomic words: the unit a [`Histogram`] shard is laid
+/// out in, so no two shards share a line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Line([AtomicU64; LINE_WORDS]);
+
+/// A fixed-bucket histogram with atomic buckets, sharded per thread.
 ///
 /// Quantiles are resolved to the upper bound of the bucket holding the
 /// requested rank — a deliberate over-estimate bounded by the bucket
 /// spacing, which is the standard trade for lock-free recording. The sum
 /// is kept as a ×1e6 scaled integer so concurrent recording stays exact
 /// and order-independent.
+///
+/// Each of the [`COUNTER_SHARDS`] shards holds its own bucket counts, count
+/// and scaled sum on cache lines of its own, and a sample lands in the
+/// shard [`Counter`] would pick for the recording thread. Every reading
+/// sums the shards with integer adds, so it is exact and the same whatever
+/// the thread count.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: &'static [f64],
-    /// One bucket per bound plus a final overflow bucket.
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    /// Sum scaled by 1e6 (nanosecond resolution for millisecond samples).
-    sum_scaled: AtomicU64,
+    /// Lines per shard: `bounds.len() + 1` bucket words (the last is the
+    /// overflow bucket), then the count word and the scaled-sum word.
+    stride: usize,
+    /// `COUNTER_SHARDS × stride` lines, shard after shard.
+    lines: Box<[Line]>,
 }
 
 impl Histogram {
@@ -132,12 +147,34 @@ impl Histogram {
     /// overflow bucket is appended).
     pub fn with_bounds(bounds: &'static [f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
+        let stride = (bounds.len() + 3).div_ceil(LINE_WORDS);
         Histogram {
             bounds,
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_scaled: AtomicU64::new(0),
+            stride,
+            lines: (0..COUNTER_SHARDS * stride)
+                .map(|_| Line::default())
+                .collect(),
         }
+    }
+
+    /// Word `word` of shard `shard` (bucket words first, then count, then
+    /// the scaled sum).
+    #[inline]
+    fn word(&self, shard: usize, word: usize) -> &AtomicU64 {
+        &self.lines[shard * self.stride + word / LINE_WORDS].0[word % LINE_WORDS]
+    }
+
+    /// The count word's index; the scaled-sum word follows it.
+    #[inline]
+    fn count_word(&self) -> usize {
+        self.bounds.len() + 1
+    }
+
+    /// Word `word` summed over every shard.
+    fn total(&self, word: usize) -> u64 {
+        (0..COUNTER_SHARDS)
+            .map(|shard| self.word(shard, word).load(Ordering::Relaxed))
+            .fold(0, u64::wrapping_add)
     }
 
     /// Records one sample (negative/NaN samples count into bucket 0).
@@ -150,10 +187,12 @@ impl Histogram {
             .iter()
             .position(|&b| !matches!(v.partial_cmp(&b), Some(std::cmp::Ordering::Greater)))
             .unwrap_or(self.bounds.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        let shard = crate::thread_id() as usize & (COUNTER_SHARDS - 1);
+        self.word(shard, idx).fetch_add(1, Ordering::Relaxed);
+        self.word(shard, self.count_word())
+            .fetch_add(1, Ordering::Relaxed);
         if v.is_finite() && v > 0.0 {
-            self.sum_scaled
+            self.word(shard, self.count_word() + 1)
                 .fetch_add((v * 1e6).round() as u64, Ordering::Relaxed);
         }
     }
@@ -167,7 +206,7 @@ impl Histogram {
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.total(self.count_word())
     }
 
     /// The upper bucket bounds (excluding the overflow bucket).
@@ -177,15 +216,12 @@ impl Histogram {
 
     /// Per-bucket counts, one per bound plus the trailing overflow bucket.
     pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
+        (0..=self.bounds.len()).map(|b| self.total(b)).collect()
     }
 
     /// Sum of recorded samples (exact to 1e-6 by construction).
     pub fn sum(&self) -> f64 {
-        self.sum_scaled.load(Ordering::Relaxed) as f64 / 1e6
+        self.total(self.count_word() + 1) as f64 / 1e6
     }
 
     /// Mean of recorded samples (`NaN` when empty).
@@ -351,6 +387,11 @@ mod tests {
     fn hot_atomics_are_cache_line_padded() {
         assert!(std::mem::align_of::<Counter>() >= 64);
         assert!(std::mem::align_of::<Gauge>() >= 64);
+        // Histogram shards start on their own lines and span whole lines.
+        let h = Histogram::latency_ms();
+        assert_eq!(h.lines.as_ptr() as usize % 64, 0);
+        assert_eq!(h.lines.len(), COUNTER_SHARDS * h.stride);
+        assert!(h.stride * LINE_WORDS >= LATENCY_BOUNDS_MS.len() + 3);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 use crate::cache::{CachedPrediction, InsertOutcome, PredKey, ShardedCache};
 use crate::metrics::MetricsRegistry;
+use crate::slots::ReaderSlots;
 use heteromap::{DeployOptions, HeteroMap, Placement, StreamReport};
 use heteromap_accel::cost::WorkloadContext;
 use heteromap_accel::FaultPlan;
@@ -30,7 +31,7 @@ use heteromap_kernels::par::{par_map, run_threads};
 use heteromap_model::Workload;
 use heteromap_predict::Predictor;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How a request resolves its prediction.
@@ -116,15 +117,19 @@ pub struct ClosedLoopReport {
 
 /// A concurrent prediction-serving engine over one [`HeteroMap`] instance.
 ///
-/// Shared-state layout: the model sits behind a `RwLock` (requests read,
-/// fault-plan/predictor swaps write and invalidate the cache while holding
-/// the write lock, so no request ever pairs an old-generation value with a
-/// new model). Concurrent misses on the same key each run the predictor and
-/// insert the same value; the deterministic predictor makes the duplicate
-/// work harmless, and a miss costs one inline forward pass either way.
+/// Shared-state layout: the model sits behind per-thread reader slots,
+/// [`COUNTER_SHARDS`](heteromap_obs::metrics::COUNTER_SHARDS) cache-aligned
+/// locks, each thread picking one as a sharded counter picks its shard. A
+/// request read-locks only its own slot, so cache hits on different cores
+/// write no shared lock word. Fault-plan and predictor swaps write-lock
+/// every slot in index order and invalidate the cache while holding them
+/// all, so no request ever pairs an old-generation value with a new model.
+/// Concurrent misses on the same key each run the predictor and insert the
+/// same value; the deterministic predictor makes the duplicate work
+/// harmless, and a miss costs one inline forward pass either way.
 #[derive(Debug)]
 pub struct ServeEngine {
-    model: RwLock<HeteroMap>,
+    model: ReaderSlots<HeteroMap>,
     cache: ShardedCache,
     metrics: Arc<MetricsRegistry>,
     config: ServeConfig,
@@ -134,7 +139,7 @@ impl ServeEngine {
     /// Wraps `model` in a serving engine.
     pub fn new(model: HeteroMap, config: ServeConfig) -> Self {
         ServeEngine {
-            model: RwLock::new(model),
+            model: ReaderSlots::new(model),
             cache: ShardedCache::new(config.shards, config.capacity),
             metrics: Arc::new(MetricsRegistry::new()),
             config,
@@ -164,7 +169,7 @@ impl ServeEngine {
     /// The deterministic predictor overhead charged on a miss,
     /// [`Predictor::overhead_ms`], in milliseconds.
     pub fn miss_overhead_ms(&self) -> f64 {
-        let model = self.model.read().expect("model lock poisoned");
+        let model = self.model.read();
         model.predictor().overhead_ms()
     }
 
@@ -191,7 +196,7 @@ impl ServeEngine {
     pub fn schedule_context_opts(&self, ctx: &WorkloadContext, opts: DeployOptions) -> Served {
         let _span = heteromap_obs::span_cat("serve", "serve");
         let start = Instant::now();
-        let model = self.model.read().expect("model lock poisoned");
+        let model = self.model.read();
         let i = model.ivector(&ctx.stats);
         let key = PredKey::new(&ctx.b, &i);
         let miss_ms = model.predictor().overhead_ms();
@@ -226,7 +231,7 @@ impl ServeEngine {
     /// any inference — the overload-shedding path uses this to serve a
     /// possibly-stale answer instead of dropping the request.
     pub fn peek_cached(&self, ctx: &WorkloadContext) -> Option<CachedPrediction> {
-        let model = self.model.read().expect("model lock poisoned");
+        let model = self.model.read();
         let i = model.ivector(&ctx.stats);
         self.cache.get(&PredKey::new(&ctx.b, &i))
     }
@@ -236,7 +241,7 @@ impl ServeEngine {
     /// controller ([`ServeSource::StaleHit`]).
     pub fn serve_stale(&self, ctx: &WorkloadContext, opts: DeployOptions) -> Option<Served> {
         let start = Instant::now();
-        let model = self.model.read().expect("model lock poisoned");
+        let model = self.model.read();
         let i = model.ivector(&ctx.stats);
         let prediction = self.cache.get(&PredKey::new(&ctx.b, &i))?;
         Some(self.finish(
@@ -297,10 +302,10 @@ impl ServeEngine {
     }
 
     /// Installs a new fault plan and invalidates the cache atomically (the
-    /// invalidation happens under the model write lock, so no request can
-    /// pair an old-plan prediction with the new system).
+    /// invalidation happens while every reader slot is write-locked, so no
+    /// request can pair an old-plan prediction with the new system).
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        let mut model = self.model.write().expect("model lock poisoned");
+        let mut model = self.model.write();
         model.set_fault_plan(plan);
         self.cache.invalidate();
         self.metrics.cache_invalidations.inc();
@@ -310,16 +315,17 @@ impl ServeEngine {
     /// Swaps in a new predictor (e.g. a freshly re-trained model, §VII-D)
     /// and invalidates the cache atomically.
     pub fn replace_predictor(&self, predictor: Box<dyn Predictor + Send + Sync>) {
-        let mut model = self.model.write().expect("model lock poisoned");
+        let mut model = self.model.write();
         model.set_predictor(predictor);
         self.cache.invalidate();
         self.metrics.cache_invalidations.inc();
         heteromap_obs::event("cache.invalidate", || "cause=predictor_swap".to_string());
     }
 
-    /// Runs a closure against the wrapped model (read-locked).
+    /// Runs a closure against the wrapped model (the calling thread's
+    /// reader slot read-locked).
     pub fn with_model<R>(&self, f: impl FnOnce(&HeteroMap) -> R) -> R {
-        f(&self.model.read().expect("model lock poisoned"))
+        f(&self.model.read())
     }
 
     /// Streams `graph` through byte-budgeted chunks with this engine

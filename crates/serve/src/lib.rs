@@ -55,6 +55,7 @@ pub mod engine;
 pub mod instrument;
 pub mod metrics;
 pub mod pad;
+mod slots;
 
 pub use admission::{AdmissionConfig, AdmissionController, Rejected};
 pub use cache::{CachedPrediction, InsertOutcome, PredKey, ShardedCache};

@@ -1,7 +1,8 @@
 //! Cache-line padding against false sharing.
 //!
 //! Hot locks that different cores take concurrently (the cache's shard
-//! mutexes) must not share a 64-byte cache line, or every acquisition
+//! mutexes, the engine's model reader slots) must not share a 64-byte cache
+//! line, or every acquisition
 //! ping-pongs the line between cores and independent shards serialize
 //! anyway. [`CacheAligned`] forces each wrapped value onto its own line with
 //! `#[repr(align(64))]` — the manual, dependency-free equivalent of

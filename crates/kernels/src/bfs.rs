@@ -20,13 +20,13 @@
 //!   `V / BETA`. Power-law graphs stop paying the full push cost on the big
 //!   middle levels. Levels are direction-independent, so results stay
 //!   bit-identical with the sequential reference.
-//! * **Work-sized levels** — a top-down level asks
-//!   [`phase_threads`](crate::par::phase_threads) for its participant
-//!   count, so the many small levels of a sparse traversal run on the
-//!   caller instead of paying a pool hand-off each.
+//! * **Work-sized levels** — a top-down level takes one participant per
+//!   [`BFS_VERTICES_PER_PARTICIPANT`] frontier vertices, so the many small
+//!   levels of a sparse traversal run on the caller instead of paying a
+//!   pool hand-off each.
 
-use crate::frontier::FrontierRounds;
-use crate::par::Scheduler;
+use crate::frontier::{FrontierRounds, RoundWork};
+use crate::par::{Scheduler, BFS_VERTICES_PER_PARTICIPANT};
 use crate::UNREACHED;
 use heteromap_graph::{CsrGraph, VertexId};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -144,7 +144,8 @@ pub fn bfs_with(
             }
             _ => {
                 // Push: divide the frontier, claim neighbours by CAS.
-                rounds.advance(scheduler, threads, |v, out| {
+                let work = RoundWork::Vertices(BFS_VERTICES_PER_PARTICIPANT);
+                rounds.advance(work, scheduler, threads, |v, out| {
                     for &t in graph.neighbors(v) {
                         if levels[t as usize]
                             .compare_exchange(

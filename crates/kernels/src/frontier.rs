@@ -11,10 +11,13 @@
 //! levels, so a whole BFS allocates its frontier storage once.
 //!
 //! [`FrontierRounds`] is that loop, written once: the double buffer, the
-//! per-worker locals, and rounds sized by [`phase_threads`]. BFS levels,
-//! k-core peeling waves and Bellman-Ford relaxation rounds all run on it.
+//! per-worker locals, and rounds sized by [`phase_threads`] from each
+//! kernel's own [`RoundWork`]. BFS levels, k-core peeling waves,
+//! Bellman-Ford relaxation rounds and Δ-stepping bucket passes all run on
+//! it.
 
 use crate::par::{phase_threads, Scheduler};
+use heteromap_graph::CsrGraph;
 use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -99,6 +102,20 @@ impl SharedFrontier {
         }
     }
 
+    /// Keeps only the vertices for which `keep` returns `true`, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
+        let len = self.len().min(self.buf.len());
+        let mut kept = 0;
+        for i in 0..len {
+            let v = *self.buf[i].get_mut();
+            if keep(v) {
+                *self.buf[kept].get_mut() = v;
+                kept += 1;
+            }
+        }
+        *self.len.get_mut() = kept;
+    }
+
     /// The frontier's contents. Only sound outside parallel regions that
     /// push (BFS reads the *previous* level's frontier, which no worker
     /// writes).
@@ -107,6 +124,60 @@ impl SharedFrontier {
         // SAFETY: `UnsafeCell<u32>` and `u32` share layout; no writer is
         // active per this method's contract, and `0..len` is initialized.
         unsafe { std::slice::from_raw_parts(self.buf.as_ptr() as *const u32, len) }
+    }
+}
+
+/// How a kind of frontier round counts its work, and how much of it one
+/// more participant needs before it pays for its pool hand-off (see
+/// [`phase_threads`]). Each kernel passes its own block size from
+/// [`crate::par`].
+#[derive(Debug, Clone, Copy)]
+pub enum RoundWork<'g> {
+    /// The frontier's vertices, `per_participant` of them per extra
+    /// participant (top-down BFS levels).
+    Vertices(usize),
+    /// The frontier vertices' out-edges in the graph the round walks,
+    /// `per_participant` of them per extra participant (k-core waves
+    /// walk the transpose, relaxation rounds the graph itself).
+    Edges(&'g CsrGraph, usize),
+}
+
+impl RoundWork<'_> {
+    /// Participants for a round over `frontier` when `threads` are
+    /// requested. Edges are counted only up to the work that would take
+    /// every participant, and not at all at one thread.
+    ///
+    /// ```
+    /// use heteromap_graph::EdgeList;
+    /// use heteromap_kernels::frontier::RoundWork;
+    ///
+    /// let mut el = EdgeList::new(4);
+    /// for t in 1..4 {
+    ///     el.push(0, t, 1.0);
+    /// }
+    /// let g = el.into_csr().unwrap();
+    /// // Vertex 0 has three out-edges, the others none.
+    /// assert_eq!(RoundWork::Edges(&g, 2).participants(&[0], 4), 2);
+    /// assert_eq!(RoundWork::Edges(&g, 2).participants(&[1, 2, 3], 4), 1);
+    /// assert_eq!(RoundWork::Vertices(2).participants(&[1, 2, 3], 4), 2);
+    /// ```
+    pub fn participants(self, frontier: &[u32], threads: usize) -> usize {
+        let threads = threads.max(1);
+        match self {
+            _ if threads == 1 => 1,
+            RoundWork::Vertices(per) => phase_threads(frontier.len(), threads, per),
+            RoundWork::Edges(graph, per) => {
+                let enough = (threads - 1).saturating_mul(per);
+                let mut edges = 0;
+                for &v in frontier {
+                    edges += graph.out_degree(v);
+                    if edges >= enough {
+                        break;
+                    }
+                }
+                phase_threads(edges, threads, per)
+            }
+        }
     }
 }
 
@@ -169,16 +240,29 @@ impl FrontierRounds {
         self.cur.push_slice(items);
     }
 
+    /// Keeps only the current frontier's vertices for which `keep`
+    /// returns `true` (Δ-stepping moves the others to later buckets).
+    pub fn retain(&mut self, keep: impl FnMut(u32) -> bool) {
+        self.cur.retain(keep);
+    }
+
     /// Runs one round over the current frontier: `visit(v, out)` for every
     /// frontier vertex `v`, pushing the next frontier's vertices to `out`.
-    /// The participant count is [`phase_threads`]`(len, threads)`, so a
-    /// small frontier runs on the caller without waking the pool.
-    pub fn advance<F>(&mut self, scheduler: Scheduler, threads: usize, visit: F)
-    where
+    /// The participant count is `work`'s [`RoundWork::participants`], so
+    /// a small frontier runs on the caller without waking the pool.
+    pub fn advance<F>(
+        &mut self,
+        work: RoundWork<'_>,
+        scheduler: Scheduler,
+        threads: usize,
+        visit: F,
+    ) where
         F: Fn(u32, &mut Vec<u32>) + Sync,
     {
         let len = self.cur.len();
-        let participants = phase_threads(len, threads).min(self.locals.len());
+        let participants = work
+            .participants(self.cur.as_slice(), threads)
+            .min(self.locals.len());
         self.round(len, scheduler, participants, |range, current, out| {
             for &v in &current[range] {
                 visit(v, out);
@@ -269,7 +353,8 @@ mod tests {
                 let mut sizes = Vec::new();
                 while !rounds.is_empty() {
                     sizes.push(rounds.len());
-                    rounds.advance(scheduler, threads, |v, out| {
+                    let work = RoundWork::Vertices(crate::par::BFS_VERTICES_PER_PARTICIPANT);
+                    rounds.advance(work, scheduler, threads, |v, out| {
                         out.extend([2 * v, 2 * v + 1].into_iter().filter(|&t| t < 2048));
                     });
                 }
@@ -287,6 +372,40 @@ mod tests {
         let mut seen = rounds.current().to_vec();
         seen.sort_unstable();
         assert_eq!(seen, (0..1000).step_by(3).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn retain_keeps_the_chosen_vertices_in_order() {
+        let mut rounds = FrontierRounds::new(8, 2, 0);
+        rounds.reset(&[5, 1, 4, 2, 3]);
+        let mut dropped = Vec::new();
+        rounds.retain(|v| {
+            if v % 2 == 0 {
+                dropped.push(v);
+            }
+            v % 2 == 1
+        });
+        assert_eq!(rounds.current(), &[5, 1, 3]);
+        assert_eq!(dropped, [4, 2]);
+        rounds.retain(|_| false);
+        assert!(rounds.is_empty());
+    }
+
+    #[test]
+    fn edge_work_counts_the_frontiers_out_edges() {
+        use heteromap_graph::gen::{GraphGenerator, UniformRandom};
+        let g = UniformRandom::new(1_000, 8_000).generate(2);
+        let all: Vec<u32> = (0..1_000).collect();
+        let edges = g.edge_count();
+        for threads in [1, 2, 3, 16] {
+            for per in [1, 100, edges / 2, edges, edges + 1] {
+                assert_eq!(
+                    RoundWork::Edges(&g, per).participants(&all, threads),
+                    phase_threads(edges, threads, per),
+                    "threads={threads} per={per}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! neighbour's remaining degree only while it is above `k`, so the one
 //! decrement that takes a degree from `k + 1` to `k` puts that neighbour in
 //! the next wave, and no vertex enters twice. Waves run on
-//! [`FrontierRounds`], so the many small waves of a mesh run on the
-//! caller. A peeled vertex's degree stops at its core number, so the
+//! [`FrontierRounds`] with one participant per
+//! [`KCORE_EDGES_PER_PARTICIPANT`] in-edges, so the many small waves of a
+//! mesh, and the waves too small to pay for contended decrements, run on
+//! the caller. A peeled vertex's degree stops at its core number, so the
 //! degree array is the output.
 //!
 //! The level-`k` fixpoint is unique (peeling is confluent), so the core
@@ -21,8 +23,8 @@
 //! B-profile above, which describes the algorithm class, not this host's
 //! frontier.
 
-use crate::frontier::FrontierRounds;
-use crate::par::Scheduler;
+use crate::frontier::{FrontierRounds, RoundWork};
+use crate::par::{Scheduler, KCORE_EDGES_PER_PARTICIPANT};
 use heteromap_graph::{CsrGraph, VertexId};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -41,8 +43,10 @@ pub fn kcore_with(graph: &CsrGraph, threads: usize, scheduler: Scheduler) -> Vec
     let deg: Vec<AtomicU32> = (0..n)
         .map(|v| AtomicU32::new(graph.out_degree(v as VertexId) as u32))
         .collect();
-    // Every vertex enters a wave at most once.
+    // Every vertex enters a wave at most once. A wave's work is the
+    // in-edges it decrements.
     let mut waves = FrontierRounds::new(n, threads, 0);
+    let work = RoundWork::Edges(&transpose, KCORE_EDGES_PER_PARTICIPANT);
     let mut remaining: Vec<VertexId> = (0..n as VertexId).collect();
     let mut seeds = Vec::new();
     // Vertices below this degree are peeled.
@@ -71,7 +75,7 @@ pub fn kcore_with(graph: &CsrGraph, threads: usize, scheduler: Scheduler) -> Vec
         }
         waves.reset(&seeds);
         while !waves.is_empty() {
-            waves.advance(scheduler, threads, |v, out| {
+            waves.advance(work, scheduler, threads, |v, out| {
                 for &u in transpose.neighbors(v) {
                     let before =
                         deg[u as usize].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {

@@ -24,9 +24,9 @@
 //!
 //! The execution engine lives in [`pool`] (long-lived parked workers,
 //! spawned once per process) and [`frontier`] (lock-free shared frontier
-//! buffers and the frontier rounds that BFS, k-core and Bellman-Ford run
-//! on); [`par`] exposes the schedulers and the ordered fan-out
-//! [`par::par_map`].
+//! buffers and the frontier rounds that BFS, k-core, Bellman-Ford and
+//! Δ-stepping run on); [`par`] exposes the schedulers, the per-kernel
+//! round floors and the ordered fan-out [`par::par_map`].
 //!
 //! BFS, Bellman-Ford, k-core and connected components are work-efficient:
 //! each round touches only the vertices whose state can still change. Their

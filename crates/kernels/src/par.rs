@@ -91,42 +91,110 @@ where
     crate::pool::ThreadPool::global().run(threads, work);
 }
 
-/// Work items a frontier phase needs per extra participant before it
-/// leaves the caller (see [`phase_threads`]).
+/// Participants for a parallel phase of `work` units when `threads` are
+/// requested and every participant past the first needs
+/// `per_participant` units: one more than the number of whole
+/// `per_participant` blocks in `work`, capped at `threads`. A phase below
+/// one block runs on the caller without entering the pool.
 ///
 /// Handing a region to the pool costs a fixed wake-up and barrier
-/// round-trip `h`, while an item of a sparse frontier (a BFS vertex or a
-/// Δ-stepping bucket entry) costs `c` of edge work. A second participant
-/// saves at most `k·c / 2` of a `k`-item phase, so it pays only once
-/// `k > 2h / c`. On a 2-vCPU x86-64 VM an empty 2-participant region takes
-/// `h ≈ 15 µs`, and a top-down BFS vertex takes `c ≈ 33–54 ns` at one
-/// thread (grid-180: 359 levels, 1.1–1.3 ms; uniform, average degree 3:
-/// 42–54 ns). That puts the break-even at 550–950 items. 512 sits just
-/// below it, so a phase that could gain from a second participant keeps
-/// it, while the hundreds of sub-200-vertex levels of a mesh run inline.
-pub const PHASE_ITEMS_PER_PARTICIPANT: usize = 512;
-
-/// Participants for a frontier phase of `items` work items when `threads`
-/// are requested: one more than the number of whole
-/// [`PHASE_ITEMS_PER_PARTICIPANT`] blocks in `items`, capped at `threads`.
-/// A phase below one block runs on the caller without entering the pool.
+/// round-trip `h`. A second participant pays only once the work it takes
+/// over costs more than that, so each kernel counts its work in the unit
+/// its per-item cost scales with and states its own block size, derived
+/// from `h` and that cost: [`BFS_VERTICES_PER_PARTICIPANT`],
+/// [`KCORE_EDGES_PER_PARTICIPANT`] and [`BF_EDGES_PER_PARTICIPANT`].
 ///
-/// Only per-level and per-bucket phases, whose size swings from one vertex
-/// to most of the graph, ask for this. Full-graph sweeps and
+/// Only frontier phases, whose size swings from one vertex to most of the
+/// graph, ask for this: BFS levels, k-core waves, Bellman-Ford rounds and
+/// Δ-stepping bucket passes, all through
+/// [`RoundWork`](crate::frontier::RoundWork). Full-graph sweeps and
 /// [`par_map`]'s heavy items use the requested count as is.
 ///
 /// # Example
 ///
 /// ```
-/// use heteromap_kernels::par::{phase_threads, PHASE_ITEMS_PER_PARTICIPANT};
+/// use heteromap_kernels::par::phase_threads;
 ///
-/// assert_eq!(phase_threads(PHASE_ITEMS_PER_PARTICIPANT - 1, 4), 1);
-/// assert_eq!(phase_threads(PHASE_ITEMS_PER_PARTICIPANT, 4), 2);
-/// assert_eq!(phase_threads(100 * PHASE_ITEMS_PER_PARTICIPANT, 4), 4);
+/// assert_eq!(phase_threads(99, 4, 100), 1);
+/// assert_eq!(phase_threads(100, 4, 100), 2);
+/// assert_eq!(phase_threads(10_000, 4, 100), 4);
+/// assert_eq!(phase_threads(10_000, 0, 100), 1);
 /// ```
-pub fn phase_threads(items: usize, threads: usize) -> usize {
-    threads.max(1).min(1 + items / PHASE_ITEMS_PER_PARTICIPANT)
+pub fn phase_threads(work: usize, threads: usize, per_participant: usize) -> usize {
+    threads.max(1).min(1 + work / per_participant.max(1))
 }
+
+/// Frontier vertices a top-down BFS level needs per extra participant.
+///
+/// An empty 2-participant region takes `h ≈ 15 µs` on a 2-vCPU x86-64
+/// VM, and a top-down BFS vertex takes `c ≈ 33–54 ns` at one thread
+/// (grid-180: 359 levels, 1.1–1.3 ms; uniform, average degree 3:
+/// 42–54 ns). A second participant saves at most `k·c / 2` of a `k`-vertex
+/// level, so it pays only once `k > 2h / c`: 550–950 vertices. 512 sits
+/// just below the break-even, so a level that could gain from a second
+/// participant keeps it, while the hundreds of sub-200-vertex levels of a
+/// mesh run inline. BFS counts vertices, not edges: a level's claims are
+/// one uncontended CAS per edge, and the per-vertex cost above already
+/// holds the average degree of the graphs it was measured on.
+///
+/// ```
+/// use heteromap_kernels::par::{phase_threads, BFS_VERTICES_PER_PARTICIPANT as B};
+///
+/// assert_eq!(phase_threads(B - 1, 2, B), 1);
+/// assert_eq!(phase_threads(B, 2, B), 2);
+/// ```
+pub const BFS_VERTICES_PER_PARTICIPANT: usize = 512;
+
+/// Frontier in-edges a k-core peeling wave needs per extra participant.
+///
+/// A wave's work is one `fetch_update` per in-edge of its vertices. If an
+/// edge costs `c₁` alone and `c₂` to each of two participants running at
+/// once, a second participant saves `e·(c₁ − c₂/2)` of an `e`-edge wave
+/// and costs the hand-off `h`, so it pays only once
+/// `e > h / (c₁ − c₂/2)`. On a 2-vCPU x86-64 VM, `h ≈ 10–14 µs`, and
+/// in-edge decrements cost `c₁ ≈ 8.0–9.3 ns` alone but
+/// `c₂ ≈ 16.6–18.3 ns` each at two participants, on every graph measured
+/// from 59k to 2M edges (R-MAT scales 14–18, Kronecker, uniform and
+/// grid). Plain loads and stores in the same pattern scale no better, so
+/// the scattered decrements are bound by memory traffic the two vCPUs
+/// share, not by the atomics. `c₁ − c₂/2` is at most 0.5 ns, which puts
+/// the break-even above 20k edges, and 32768 = 2¹⁵ sits above it. No wave
+/// of the analytics pool reaches it (the largest, on rmat-14, has 16.7k
+/// in-edges), so k-core peels on one thread there. On a host whose second
+/// CPU does halve the work (`c₂ ≈ c₁`), a 32k-edge wave still gains, as
+/// the hand-off is under 5 % of it.
+///
+/// ```
+/// use heteromap_kernels::par::{phase_threads, KCORE_EDGES_PER_PARTICIPANT as E};
+///
+/// assert_eq!(phase_threads(16_724, 2, E), 1); // rmat-14's largest wave
+/// assert_eq!(phase_threads(E, 2, E), 2);
+/// ```
+pub const KCORE_EDGES_PER_PARTICIPANT: usize = 32_768;
+
+/// Frontier out-edges a Bellman-Ford round (or a Δ-stepping bucket pass,
+/// the same relaxation) needs per extra participant.
+///
+/// A round relaxes every out-edge of its vertices with a CAS loop on the
+/// target's distance, and an improved target also swaps its round stamp.
+/// By the argument of [`KCORE_EDGES_PER_PARTICIPANT`], a second
+/// participant pays once `e > h / (c₁ − c₂/2)`. On the same VM a
+/// relaxation costs `c₁ ≈ 5.1–6.4 ns` alone on R-MAT and Kronecker graphs
+/// and 11–14 ns on uniform and grid ones, against `c₂ ≈ 11.3–15.7` and
+/// 22–28 ns each at two participants: `c₂/2` is within 1 ns of `c₁`, so
+/// the break-even is above 11k edges, and is not reached at all where
+/// `c₂ > 2c₁`. 32768 sits above it. On the analytics pool only the two or
+/// three widest rounds of the 8k- and 16k-vertex R-MAT and Kronecker
+/// graphs reach it.
+///
+/// ```
+/// use heteromap_kernels::par::{phase_threads, BF_EDGES_PER_PARTICIPANT as E};
+///
+/// assert_eq!(phase_threads(E - 1, 2, E), 1);
+/// assert_eq!(phase_threads(99_748, 2, E), 2); // rmat-14's widest round
+/// assert_eq!(phase_threads(99_748, 4, E), 4);
+/// ```
+pub const BF_EDGES_PER_PARTICIPANT: usize = 32_768;
 
 /// Computes `f(i)` for every `i in 0..n` on up to `threads` pool
 /// participants and returns the results in index order — the one ordered
@@ -437,15 +505,22 @@ mod tests {
 
     #[test]
     fn phase_threads_grows_one_participant_per_block() {
-        let block = PHASE_ITEMS_PER_PARTICIPANT;
-        assert_eq!(phase_threads(0, 4), 1);
-        assert_eq!(phase_threads(block - 1, 16), 1);
-        assert_eq!(phase_threads(block, 16), 2);
-        assert_eq!(phase_threads(3 * block - 1, 16), 3);
-        assert_eq!(phase_threads(usize::MAX, 16), 16);
-        // The request is a cap, and zero threads means one.
-        assert_eq!(phase_threads(10 * block, 2), 2);
-        assert_eq!(phase_threads(10 * block, 0), 1);
+        for block in [
+            BFS_VERTICES_PER_PARTICIPANT,
+            KCORE_EDGES_PER_PARTICIPANT,
+            BF_EDGES_PER_PARTICIPANT,
+        ] {
+            assert_eq!(phase_threads(0, 4, block), 1);
+            assert_eq!(phase_threads(block - 1, 16, block), 1);
+            assert_eq!(phase_threads(block, 16, block), 2);
+            assert_eq!(phase_threads(3 * block - 1, 16, block), 3);
+            assert_eq!(phase_threads(usize::MAX, 16, block), 16);
+            // The request is a cap, and zero threads means one.
+            assert_eq!(phase_threads(10 * block, 2, block), 2);
+            assert_eq!(phase_threads(10 * block, 0, block), 1);
+        }
+        // A zero block is read as one unit per participant.
+        assert_eq!(phase_threads(3, 8, 0), 4);
     }
 
     #[test]

@@ -100,32 +100,21 @@ impl KernelRunner {
     }
 
     /// Builds a runner that *deploys* a predicted machine configuration on
-    /// the host: total threads from `M2 x M3` (multicore) or scaled-down
-    /// GPU global threading, the `M11` schedule, and an `M12`-derived
-    /// dynamic grain. This is the reproduction's host-side stand-in for the
-    /// paper's step-3 deployment.
+    /// the host: every host CPU the job may use, the `M11` schedule, and an
+    /// `M12`-derived dynamic grain. This is the reproduction's host-side
+    /// stand-in for the paper's step-3 deployment.
     ///
-    /// The resulting thread count is clamped to the host's actual
-    /// parallelism (`std::thread::available_parallelism`), so a
-    /// `host_threads` budget larger than the machine cannot oversubscribe
-    /// it.
-    pub fn from_mconfig(cfg: &MConfig, limits: &DeployLimits, host_threads: usize) -> Self {
-        let deployed = match cfg.accelerator {
-            heteromap_model::Accelerator::Multicore => limits.total_multicore_threads(cfg),
-            heteromap_model::Accelerator::Gpu => limits.global_threads(cfg),
-        } as usize;
-        // Scale the accelerator's thread count into the host's budget.
-        let hw_max = match cfg.accelerator {
-            heteromap_model::Accelerator::Multicore => {
-                (limits.max_cores * limits.max_threads_per_core) as usize
-            }
-            heteromap_model::Accelerator::Gpu => limits.max_global_threads as usize,
-        };
-        let available = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(usize::MAX);
-        let threads =
-            ((deployed * host_threads.max(1)).div_ceil(hw_max.max(1))).clamp(1, available.max(1));
+    /// The thread count is `min(host_threads, available_parallelism)` for
+    /// every configuration, so a `host_threads` budget larger than the
+    /// machine cannot oversubscribe it. The predicted share of the
+    /// *simulated* accelerator (`M2 x M3` of a 244-thread Xeon Phi, or the
+    /// GPU's global threads) is not scaled onto the host, and `limits` is
+    /// not read; it stays in the signature for the callers that pass the
+    /// placed accelerator's limits. How many of the threads a round takes
+    /// is each kernel's own choice, from its work (see
+    /// [`phase_threads`](crate::par::phase_threads)).
+    pub fn from_mconfig(cfg: &MConfig, _limits: &DeployLimits, host_threads: usize) -> Self {
+        let available = std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
         let scheduler = match cfg.schedule {
             OmpSchedule::Static => Scheduler::Static,
             _ => Scheduler::Dynamic {
@@ -133,7 +122,7 @@ impl KernelRunner {
             },
         };
         KernelRunner {
-            threads,
+            threads: host_threads.clamp(1, available),
             scheduler,
             ..KernelRunner::new(1)
         }
@@ -337,7 +326,7 @@ mod tests {
         assert!(!crate::bfs::direction_optimizing(&g));
         assert!(width
             .iter()
-            .any(|&w| w >= crate::par::PHASE_ITEMS_PER_PARTICIPANT));
+            .any(|&w| w >= crate::par::BFS_VERTICES_PER_PARTICIPANT));
         let runner = KernelRunner::new(4);
         heteromap_obs::set_level(heteromap_obs::TraceLevel::Full);
         let run = runner.run(Workload::Bfs, &g);
@@ -388,18 +377,32 @@ mod tests {
         cfg.schedule = OmpSchedule::Dynamic;
         cfg.chunk_size = 0.25;
         let r = KernelRunner::from_mconfig(&cfg, &limits, 8);
-        // Full multicore deployment maps to the full host budget, capped by
-        // what the host actually has.
+        // The job gets the full host budget, capped by what the host
+        // actually has.
         let ap = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(usize::MAX);
         assert_eq!(r.threads(), 8.min(ap));
         assert_eq!(r.scheduler, Scheduler::Dynamic { grain: 64 });
-        // A one-core configuration scales down to a single host thread.
+        // A one-core configuration of the simulated accelerator, and a GPU
+        // placement, deploy the same host budget: the predicted share is
+        // not scaled onto the host.
         cfg.cores = 0.0;
         cfg.threads_per_core = 0.0;
         let r = KernelRunner::from_mconfig(&cfg, &limits, 8);
-        assert_eq!(r.threads(), 1);
+        assert_eq!(r.threads(), 8.min(ap));
+        let gpu = MConfig::gpu_default();
+        assert_eq!(
+            KernelRunner::from_mconfig(&gpu, &limits, 8).threads(),
+            8.min(ap)
+        );
+        // A budget of one thread, or none, runs on one thread.
+        assert_eq!(KernelRunner::from_mconfig(&cfg, &limits, 1).threads(), 1);
+        assert_eq!(KernelRunner::from_mconfig(&cfg, &limits, 0).threads(), 1);
+        // M11 still picks the schedule.
+        cfg.schedule = OmpSchedule::Static;
+        let r = KernelRunner::from_mconfig(&cfg, &limits, 8);
+        assert_eq!(r.scheduler, Scheduler::Static);
     }
 
     #[test]

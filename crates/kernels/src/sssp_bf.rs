@@ -5,13 +5,14 @@
 //! The rounds are data-driven: round `r` relaxes only the out-edges of the
 //! vertices whose distance dropped in round `r − 1`, instead of sweeping
 //! every vertex. A per-vertex round stamp admits each vertex to the next
-//! round once. Rounds run on [`FrontierRounds`], so the hundreds of small
-//! rounds of a mesh run on the caller. The simulated accelerators keep
+//! round once. Rounds run on [`FrontierRounds`] with one participant per
+//! [`BF_EDGES_PER_PARTICIPANT`] out-edges, so the hundreds of small rounds
+//! of a mesh run on the caller. The simulated accelerators keep
 //! charging the paper's B-profile above; it describes the algorithm class,
 //! not this host's worklist.
 
-use crate::frontier::FrontierRounds;
-use crate::par::{atomic_min_f32, Scheduler};
+use crate::frontier::{FrontierRounds, RoundWork};
+use crate::par::{atomic_min_f32, Scheduler, BF_EDGES_PER_PARTICIPANT};
 use crate::Distance;
 use heteromap_graph::{CsrGraph, VertexId};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -50,11 +51,12 @@ pub fn sssp_bf_with(
     // vertex improved many times in one round is relaxed once in the next.
     let stamp: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     let mut rounds = FrontierRounds::new(n, threads, 0);
+    let work = RoundWork::Edges(graph, BF_EDGES_PER_PARTICIPANT);
     rounds.reset(&[source]);
     let mut round = 0u32;
     while !rounds.is_empty() {
         round += 1;
-        rounds.advance(scheduler, threads, |v, out| {
+        rounds.advance(work, scheduler, threads, |v, out| {
             let dv = f32::from_bits(dist[v as usize].load(Ordering::Relaxed));
             for (t, w) in graph.edges(v) {
                 assert!(w >= 0.0, "negative edge weight");

@@ -1,12 +1,20 @@
 //! Δ-stepping SSSP (GAP-style): distance buckets processed in order, with a
 //! parallel relaxation phase per bucket and a reduction to select the next
 //! bucket — the push-pop (B4) + reduction (B5) profile of Fig. 5.
+//!
+//! A bucket's passes run on [`FrontierRounds`]: a pass is a Bellman-Ford
+//! round over the bucket's vertices, so it counts its work in out-edges
+//! with [`BF_EDGES_PER_PARTICIPANT`], and a per-vertex pass stamp queues
+//! each improved vertex once. After the pass's barrier every queued vertex
+//! is filed by its distance at that moment: a vertex that now belongs to a
+//! later bucket waits there (once, however often it improves), and the
+//! rest form the bucket's next pass.
 
-use crate::par::{atomic_min_f32, phase_threads, Scheduler};
+use crate::frontier::{FrontierRounds, RoundWork};
+use crate::par::{atomic_min_f32, Scheduler, BF_EDGES_PER_PARTICIPANT};
 use crate::Distance;
 use heteromap_graph::{CsrGraph, VertexId};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
 
 /// Runs Δ-stepping from `source` with bucket width `delta`, returning the
 /// shortest distances.
@@ -14,7 +22,9 @@ use std::sync::Mutex;
 /// The current bucket's vertices are relaxed in parallel (light and heavy
 /// edges together — a simplification that preserves correctness because
 /// settled vertices re-relax no-ops); vertices whose tentative distance
-/// drops into a future bucket are re-queued there.
+/// drops into a future bucket are re-queued there. Every improved vertex
+/// is relaxed again after its last improvement, so the distances are the
+/// same fixpoint as [`dijkstra`](crate::verify::dijkstra)'s, bit for bit.
 ///
 /// # Panics
 ///
@@ -33,6 +43,17 @@ pub fn sssp_delta(
         .map(|_| AtomicU32::new(f32::INFINITY.to_bits()))
         .collect();
     dist[source as usize].store(0.0f32.to_bits(), Ordering::Relaxed);
+    let bucket_of =
+        |v: VertexId| (f32::from_bits(dist[v as usize].load(Ordering::Relaxed)) / delta) as usize;
+    // The pass that last queued each vertex, so a vertex improved many
+    // times in one pass is queued once.
+    let stamp: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+    // The bucket each vertex was last filed into, so a bucket holds each
+    // vertex once and fits the frontier.
+    let mut filed = vec![usize::MAX; n];
+    let mut rounds = FrontierRounds::new(n, threads, 0);
+    let work = RoundWork::Edges(graph, BF_EDGES_PER_PARTICIPANT);
+    let mut pass = 0u32;
 
     let mut buckets: Vec<Vec<VertexId>> = vec![vec![source]];
     let mut current = 0usize;
@@ -44,48 +65,41 @@ pub fn sssp_delta(
         if current >= buckets.len() {
             break;
         }
-        // Pop the bucket and relax it in parallel until it stops refilling
-        // (light-edge reinsertions land back in the same bucket). A small
-        // pass runs on the caller instead of waking the pool.
-        while !buckets[current].is_empty() {
-            let frontier = std::mem::take(&mut buckets[current]);
-            let inserts: Mutex<Vec<(usize, VertexId)>> = Mutex::new(Vec::new());
-            let participants = phase_threads(frontier.len(), threads);
-            Scheduler::Static.for_each(frontier.len(), participants, |range| {
-                let mut local = Vec::new();
-                for &v in &frontier[range] {
-                    let dv = f32::from_bits(dist[v as usize].load(Ordering::Relaxed));
-                    // Skip stale entries that already left this bucket.
-                    if (dv / delta) as usize != current && dv.is_finite() {
-                        if ((dv / delta) as usize) < current {
-                            // settled earlier; re-relax is a cheap no-op pass
-                        } else {
-                            continue;
-                        }
-                    }
-                    for (t, w) in graph.edges(v) {
-                        assert!(w >= 0.0, "negative edge weight");
-                        let nd = dv + w;
-                        if atomic_min_f32(&dist[t as usize], nd) {
-                            local.push(((nd / delta) as usize, t));
-                        }
-                    }
+        // Relax the bucket until it stops refilling (light-edge
+        // reinsertions land back in the same bucket).
+        rounds.reset(&buckets[current]);
+        buckets[current].clear();
+        while !rounds.is_empty() {
+            pass += 1;
+            rounds.advance(work, Scheduler::Static, threads, |v, out| {
+                // Skip stale entries that already left for a later bucket;
+                // one settled in an earlier bucket re-relaxes as a no-op.
+                if bucket_of(v) > current {
+                    return;
                 }
-                if !local.is_empty() {
-                    inserts
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .extend_from_slice(&local);
+                let dv = f32::from_bits(dist[v as usize].load(Ordering::Relaxed));
+                for (t, w) in graph.edges(v) {
+                    assert!(w >= 0.0, "negative edge weight");
+                    if atomic_min_f32(&dist[t as usize], dv + w)
+                        && stamp[t as usize].swap(pass, Ordering::Relaxed) != pass
+                    {
+                        out.push(t);
+                    }
                 }
             });
-            let inserts = inserts.into_inner().unwrap_or_else(|e| e.into_inner());
-            for (b, v) in inserts {
-                let b = b.max(current);
-                if b >= buckets.len() {
-                    buckets.resize(b + 1, Vec::new());
+            rounds.retain(|v| {
+                let b = bucket_of(v);
+                if b <= current {
+                    return true;
                 }
-                buckets[b].push(v);
-            }
+                if std::mem::replace(&mut filed[v as usize], b) != b {
+                    if b >= buckets.len() {
+                        buckets.resize(b + 1, Vec::new());
+                    }
+                    buckets[b].push(v);
+                }
+                false
+            });
         }
         current += 1;
     }
@@ -135,6 +149,28 @@ mod tests {
         let dhuge = sssp_delta(&g, 0, 1e9, 4);
         assert_bits_eq(&d1, &d8);
         assert_bits_eq(&d1, &dhuge);
+    }
+
+    #[test]
+    fn a_later_bucket_holds_each_vertex_once() {
+        use heteromap_graph::EdgeList;
+        // A 10-vertex chain in bucket 0 whose every link improves the
+        // same 10 targets in bucket 2, one pass after another: 100
+        // improvements file into bucket 2, which has room for 20 vertices.
+        let (chain, targets) = (10u32, 10u32);
+        let mut el = EdgeList::new((chain + targets) as usize);
+        for i in 0..chain {
+            if i + 1 < chain {
+                el.push(i, i + 1, 0.001);
+            }
+            for t in 0..targets {
+                el.push(i, chain + t, 10.0 - 0.01 * i as f32);
+            }
+        }
+        let g = el.into_csr().unwrap();
+        for threads in [1, 2] {
+            assert_bits_eq(&sssp_delta(&g, 0, 4.0, threads), &dijkstra(&g, 0));
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Deploying predicted machine choices on *real host kernels*: the
-//! predicted `M` configuration (threads from M2×M3, schedule from M11,
-//! chunk grain from M12) is mapped onto the host thread pool and executed,
-//! closing the loop between prediction and actual parallel execution.
+//! predicted `M` configuration (schedule from M11, chunk grain from M12)
+//! runs on every host CPU in the budget, and each kernel round takes as
+//! many of those threads as its own work pays for, closing the loop
+//! between prediction and actual parallel execution. The deployed output
+//! must equal a 1-thread run's.
 //!
 //! Run with: `cargo run --release --example deploy_real`
 

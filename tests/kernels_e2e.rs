@@ -264,22 +264,30 @@ fn pagerank_equals_its_oracle_at_every_thread_count() {
     }
 }
 
-/// How many of `values` fall in each bin, for values given as bin indices.
-fn bin_sizes(bins: impl Iterator<Item = usize>) -> Vec<usize> {
+/// The total weight in each bin, for `(bin, weight)` pairs.
+fn bin_sizes(bins: impl Iterator<Item = (usize, usize)>) -> Vec<usize> {
     let mut sizes = Vec::new();
-    for b in bins {
+    for (b, weight) in bins {
         if b >= sizes.len() {
             sizes.resize(b + 1, 0);
         }
-        sizes[b] += 1;
+        sizes[b] += weight;
     }
     sizes
+}
+
+/// A 200k-edge uniform graph: its widest k-core waves, Bellman-Ford
+/// rounds and Δ-stepping buckets pass the edge floors.
+fn wide_uniform() -> CsrGraph {
+    heteromap_graph::gen::UniformRandom::new(50_000, 200_000).generate(3)
 }
 
 #[test]
 fn frontier_kernels_match_their_oracles_on_both_sides_of_the_inline_floor() {
     use heteromap_graph::gen::{Grid, UniformRandom};
-    use heteromap_kernels::par::PHASE_ITEMS_PER_PARTICIPANT as FLOOR;
+    use heteromap_kernels::par::{
+        BFS_VERTICES_PER_PARTICIPANT as LEVEL_FLOOR, BF_EDGES_PER_PARTICIPANT as BUCKET_FLOOR,
+    };
     // The runner's default Δ-stepping bucket width.
     const DELTA: f32 = 4.0;
     let graphs = [
@@ -292,26 +300,35 @@ fn frontier_kernels_match_their_oracles_on_both_sides_of_the_inline_floor() {
         // Every level and bucket of a mesh is below the floor.
         ("grid-60", Grid::new(60, 60).generate(3)),
         ("rmat-12", RMat::new(12, 8.0, 0.57, 0.19, 0.19).generate(1)),
+        ("uniform-50k", wide_uniform()),
     ];
-    let (mut small, mut large) = (false, false);
+    let sides = |sizes: &[usize], floor: usize| {
+        (
+            sizes.iter().any(|&s| s > 0 && s < floor),
+            sizes.iter().any(|&s| s >= floor),
+        )
+    };
+    let (mut levels_seen, mut buckets_seen) = ((false, false), (false, false));
     for (name, g) in graphs {
         let levels = verify::bfs_seq(&g, 0);
         let dist = verify::dijkstra(&g, 0);
+        // Levels count vertices; buckets count their vertices' out-edges.
         let level_sizes = bin_sizes(
             levels
                 .iter()
                 .filter(|&&l| l != u32::MAX)
-                .map(|&l| l as usize),
+                .map(|&l| (l as usize, 1)),
         );
         let bucket_sizes = bin_sizes(
             dist.iter()
-                .filter(|d| d.is_finite())
-                .map(|&d| (d / DELTA) as usize),
+                .enumerate()
+                .filter(|(_, d)| d.is_finite())
+                .map(|(v, &d)| ((d / DELTA) as usize, g.out_degree(v as VertexId))),
         );
-        for sizes in [&level_sizes, &bucket_sizes] {
-            small |= sizes.iter().any(|&s| s > 0 && s < FLOOR);
-            large |= sizes.iter().any(|&s| s >= FLOOR);
-        }
+        let (small, large) = sides(&level_sizes, LEVEL_FLOOR);
+        levels_seen = (levels_seen.0 | small, levels_seen.1 | large);
+        let (small, large) = sides(&bucket_sizes, BUCKET_FLOOR);
+        buckets_seen = (buckets_seen.0 | small, buckets_seen.1 | large);
         for threads in THREAD_COUNTS {
             let runner = KernelRunner::new(threads).with_delta(DELTA);
             let bfs = runner.run(Workload::Bfs, &g).output;
@@ -328,13 +345,20 @@ fn frontier_kernels_match_their_oracles_on_both_sides_of_the_inline_floor() {
             }
         }
     }
-    assert!(
-        small && large,
-        "phases must fall on both sides of the floor"
+    assert_eq!(
+        levels_seen,
+        (true, true),
+        "BFS levels on both sides of the floor"
+    );
+    assert_eq!(
+        buckets_seen,
+        (true, true),
+        "Δ-stepping buckets on both sides of the floor"
     );
 }
 
-/// Sizes of k-core's peeling waves. They do not depend on the schedule:
+/// Sizes of k-core's peeling waves, in the in-edges each decrements. They
+/// do not depend on the schedule:
 /// a vertex joins the wave after the one that takes its remaining degree
 /// to the level, and that count of in-edges is fixed by the graph.
 fn kcore_wave_sizes(g: &CsrGraph) -> Vec<usize> {
@@ -352,7 +376,11 @@ fn kcore_wave_sizes(g: &CsrGraph) -> Vec<usize> {
             .filter(|&v| core[v] == k && deg[v] == k)
             .collect();
         while !wave.is_empty() {
-            sizes.push(wave.len());
+            sizes.push(
+                wave.iter()
+                    .map(|&v| transpose.out_degree(v as VertexId))
+                    .sum(),
+            );
             let mut next = Vec::new();
             for v in wave {
                 for &u in transpose.neighbors(v as VertexId) {
@@ -371,8 +399,9 @@ fn kcore_wave_sizes(g: &CsrGraph) -> Vec<usize> {
     sizes
 }
 
-/// Sizes of Bellman-Ford's relaxation rounds at one thread: each round
-/// relaxes, in order, the vertices the previous round improved.
+/// Sizes of Bellman-Ford's relaxation rounds at one thread, in the
+/// out-edges each relaxes: each round relaxes, in order, the vertices the
+/// previous round improved.
 fn bf_round_sizes(g: &CsrGraph, source: VertexId) -> Vec<usize> {
     let mut dist = vec![f32::INFINITY; g.vertex_count()];
     let mut queued = vec![0usize; g.vertex_count()];
@@ -380,7 +409,7 @@ fn bf_round_sizes(g: &CsrGraph, source: VertexId) -> Vec<usize> {
     let mut round = vec![source];
     let mut sizes = Vec::new();
     while !round.is_empty() {
-        sizes.push(round.len());
+        sizes.push(round.iter().map(|&v| g.out_degree(v)).sum());
         let mut next = Vec::new();
         for v in round {
             for (t, w) in g.edges(v) {
@@ -402,11 +431,15 @@ fn bf_round_sizes(g: &CsrGraph, source: VertexId) -> Vec<usize> {
 #[test]
 fn fixpoint_kernels_match_their_oracles_at_every_thread_count_and_schedule() {
     use heteromap_graph::gen::{Grid, UniformRandom};
-    use heteromap_kernels::par::{Scheduler, PHASE_ITEMS_PER_PARTICIPANT as FLOOR};
+    use heteromap_kernels::par::{
+        Scheduler, BF_EDGES_PER_PARTICIPANT as ROUND_FLOOR,
+        KCORE_EDGES_PER_PARTICIPANT as WAVE_FLOOR,
+    };
     let graphs = [
         // Hundreds of waves and rounds, every one below the floor.
         ("grid-60", Grid::new(60, 60).generate(3)),
-        // Skewed and uniform inputs with phases at or above the floor.
+        // Skewed and uniform inputs; the widest phases of the 200k-edge
+        // graph reach the floors.
         ("rmat-12", RMat::new(12, 8.0, 0.57, 0.19, 0.19).generate(1)),
         (
             "uniform-20k",
@@ -417,16 +450,17 @@ fn fixpoint_kernels_match_their_oracles_at_every_thread_count_and_schedule() {
             "uniform-sparse",
             UniformRandom::new(6_000, 3_000).generate(5),
         ),
+        ("uniform-50k", wide_uniform()),
     ];
     let schedulers = [
         Scheduler::Static,
         Scheduler::Dynamic { grain: 1 },
         Scheduler::Dynamic { grain: 64 },
     ];
-    let sides = |sizes: &[usize]| {
+    let sides = |sizes: &[usize], floor: usize| {
         (
-            sizes.iter().any(|&s| s < FLOOR),
-            sizes.iter().any(|&s| s >= FLOOR),
+            sizes.iter().any(|&s| s < floor),
+            sizes.iter().any(|&s| s >= floor),
         )
     };
     let (mut waves, mut rounds) = ((false, false), (false, false));
@@ -441,9 +475,9 @@ fn fixpoint_kernels_match_their_oracles_at_every_thread_count_and_schedule() {
                 .filter(|&(v, &l)| v == l as usize);
             assert!(roots.count() > 1_000, "{name}: too few components");
         }
-        let (small, large) = sides(&kcore_wave_sizes(&g));
+        let (small, large) = sides(&kcore_wave_sizes(&g), WAVE_FLOOR);
         waves = (waves.0 | small, waves.1 | large);
-        let (small, large) = sides(&bf_round_sizes(&g, 0));
+        let (small, large) = sides(&bf_round_sizes(&g, 0), ROUND_FLOOR);
         rounds = (rounds.0 | small, rounds.1 | large);
         let components = KernelOutput::Labels(components);
         for threads in THREAD_COUNTS {
